@@ -35,12 +35,10 @@ def _read_json(path: str):
     return json.loads(text)
 
 
-def _load_space(arg: str, prime, trunc):
+def _load_space(arg: str, prime):
     if arg.startswith("preset:"):
-        return arg[len("preset:"):], freealg.build_space(
-            arg[len("preset:"):], prime=prime, trunc=trunc)
-    obj = _read_json(arg)
-    return obj, freealg.space_from_json(obj, prime=prime)
+        return freealg.build_space(arg[len("preset:"):], prime=prime)
+    return freealg.space_from_json(_read_json(arg), prime=prime)
 
 
 def _load_relations(space, path):
@@ -49,10 +47,6 @@ def _load_relations(space, path):
     obj = _read_json(path)
     items = obj["relations"] if isinstance(obj, dict) else obj
     return tuple(TensorElement.from_json(space, item) for item in items)
-
-
-def _series_json(s: series.PowerSeries) -> dict:
-    return s.to_json()
 
 
 def _emit(args, obj: dict, pretty_lines) -> None:
@@ -93,7 +87,7 @@ def _cmd_lyndon_shirshov(args) -> int:
 # ---------------------------------------------------------------- bracket / expand
 
 def _cmd_bracket(args) -> int:
-    _, space = _load_space(args.space, args.prime, None)
+    space = _load_space(args.space, args.prime)
     w = words.parse_word(args.word)
     flavor = "double" if args.double else "left"
     val = bracket_element(space, w, flavor)
@@ -104,7 +98,7 @@ def _cmd_bracket(args) -> int:
 
 
 def _cmd_expand(args) -> int:
-    _, space = _load_space(args.space, args.prime, None)
+    space = _load_space(args.space, args.prime)
     x = TensorElement.from_json(space, _read_json(args.element))
     coords = expand_monotonic_basis(x)
     fmt = space.field.format
@@ -123,7 +117,7 @@ def _cmd_expand(args) -> int:
 def _cmd_tv_identity(args) -> int:
     rep = series.lyndon_identity_check(args.alphabet, args.trunc)
     out = {"ok": rep.ok, "trunc": args.trunc,
-           "lhs": _series_json(rep.lhs), "rhs": _series_json(rep.rhs)}
+           "lhs": rep.lhs.to_json(), "rhs": rep.rhs.to_json()}
     _emit(args, out, lambda o: [f"ok: {o['ok']}",
                                 f"lhs: {o['lhs']['coeffs']}",
                                 f"rhs: {o['rhs']['coeffs']}"])
@@ -178,9 +172,9 @@ def _cmd_nichols_factorize(args) -> int:
     rep = _run_nichols(args, lambda R: nichols.verify_factorization(R, args.trunc))
     one = series.PowerSeries.one(rep.trunc)
     factors = [f for f in rep.factors if args.full or f.series != one]
-    out = {"ok": rep.ok, "trunc": rep.trunc, "lhs": _series_json(rep.lhs),
+    out = {"ok": rep.ok, "trunc": rep.trunc, "lhs": rep.lhs.to_json(),
            "factors": [{"u": words.format_word(f.word),
-                        "series": _series_json(f.series)} for f in factors]}
+                        "series": f.series.to_json()} for f in factors]}
     _emit(args, out,
           lambda o: [f"ok: {o['ok']}", f"lhs: {o['lhs']['coeffs']}"]
           + [f"  {f['u']}: {f['series']['coeffs']}" for f in o["factors"]])
@@ -190,7 +184,7 @@ def _cmd_nichols_factorize(args) -> int:
 def _cmd_nichols_subquotient(args) -> int:
     u = words.parse_word(args.word)
     sq = _run_nichols(args, lambda R: nichols.subquotient_series(R, u, args.trunc))
-    out = {"u": words.format_word(sq.word), "series": _series_json(sq.series)}
+    out = {"u": words.format_word(sq.word), "series": sq.series.to_json()}
     _emit(args, out, lambda o: [f"{o['u']}: {o['series']['coeffs']}"])
     return 0
 

@@ -9,6 +9,7 @@ coproduct and the braided antipode.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,34 +30,40 @@ class BraidingReport:
 
 
 def _apply_slot(field, state: dict, slot: int, cmap: dict) -> dict:
-    """Apply a two-strand braiding at 1-based slot to a dict of words."""
-    out: dict = {}
+    """Apply a two-strand braiding at 1-based slot to a dict of words.
+
+    Words are grouped by their letter pair at the slot, so that each term of
+    the pair's image is added for the whole group in one axpy.
+    """
+    i, j = slot - 1, slot + 1
+    by_pair: dict = {}
     for w, coeff in state.items():
-        for (c, d), f in cmap[(w[slot - 1], w[slot])].items():
-            nw = w[:slot - 1] + (c, d) + w[slot + 1:]
-            v = field.add(out.get(nw, field.zero), field.mul(coeff, f))
-            if v == field.zero:
-                out.pop(nw, None)
-            else:
-                out[nw] = v
+        by_pair.setdefault(w[i:j], {})[w] = coeff
+    out: dict = {}
+    for ab, group in by_pair.items():
+        for cd, f in cmap[ab].items():
+            image = {}
+            for w, coeff in group.items():
+                image[w[:i] + cd + w[j:]] = coeff
+            field.axpy(out, image, f)
     return out
 
 
 def _check_braid_equation(field, dim: int, cmap: dict):
-    """Return a violating triple (a, b, c) or None."""
-    for a in range(1, dim + 1):
-        for b in range(1, dim + 1):
-            for c in range(1, dim + 1):
-                state = {(a, b, c): field.one}
-                lhs = _apply_slot(field, state, 2, cmap)
-                lhs = _apply_slot(field, lhs, 1, cmap)
-                lhs = _apply_slot(field, lhs, 2, cmap)
-                rhs = _apply_slot(field, state, 1, cmap)
-                rhs = _apply_slot(field, rhs, 2, cmap)
-                rhs = _apply_slot(field, rhs, 1, cmap)
-                if lhs != rhs:
-                    return (a, b, c)
-    return None
+    """Return the least violating triple (a, b, c) or None.
+
+    Both sides act on all basis triples at once: each word carries the
+    triple it started from as a fourth letter, which no slot touches.
+    """
+    state = {t + (t,): field.one
+             for t in itertools.product(range(1, dim + 1), repeat=3)}
+    lhs = rhs = state
+    for slot in (2, 1, 2):
+        lhs = _apply_slot(field, lhs, slot, cmap)
+    for slot in (1, 2, 1):
+        rhs = _apply_slot(field, rhs, slot, cmap)
+    return min((w[3] for w in lhs.keys() | rhs.keys() if lhs.get(w) != rhs.get(w)),
+               default=None)
 
 
 def _invert_cmap(field, dim: int, cmap: dict):
@@ -148,10 +155,11 @@ class BraidedSpace:
         if kind == "diagonal":
             self.q = tuple(tuple(r) for r in data)
             self._cmap = _diagonal_cmap(field, dim, data)
+            self._cmap_inv = None  # braid_words inverts the q products instead
         else:
             self.q = None
             self._cmap = _general_cmap(field, dim, data)
-        self._cmap_inv = _invert_cmap(field, dim, self._cmap)
+            self._cmap_inv = _invert_cmap(field, dim, self._cmap)
         self._cache: dict = {}
 
     @property
@@ -268,8 +276,9 @@ class BraidedSpace:
         return f"BraidedSpace(dim={self.dim}, kind={self.kind}, field={self.field!r})"
 
 
-class TensorElement:
-    """Sparse element of the tensor algebra over a braided space."""
+class _SparseElement:
+    """Shared linear structure of TensorElement and TensorSquareElement:
+    a sparse dict of nonzero scalars over one braided space."""
 
     __slots__ = ("space", "terms")
 
@@ -277,34 +286,42 @@ class TensorElement:
         self.space = space
         self.terms = terms
 
-    def _same(self, other: "TensorElement"):
-        if not isinstance(other, TensorElement) or other.space is not self.space:
+    def _same(self, other):
+        if not isinstance(other, type(self)) or other.space is not self.space:
             raise ValueError("operands live over different braided spaces")
 
-    def __add__(self, other):
+    def _plus(self, other, c):
+        """self + c * other."""
         self._same(other)
         fld = self.space.field
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            v = fld.add(out.get(w, fld.zero), c)
-            if v == fld.zero:
-                out.pop(w, None)
-            else:
-                out[w] = v
-        return TensorElement(self.space, out)
+        return type(self)(self.space, fld.axpy(dict(self.terms), other.terms, c))
+
+    def __add__(self, other):
+        return self._plus(other, self.space.field.one)
+
+    def __sub__(self, other):
+        fld = self.space.field
+        return self._plus(other, fld.neg(fld.one))
 
     def __neg__(self):
         fld = self.space.field
-        return TensorElement(self.space, {w: fld.neg(c) for w, c in self.terms.items()})
+        return self.scale(fld.neg(fld.one))
 
-    def __sub__(self, other):
-        return self + (-other)
+    def scale(self, c):
+        return type(self)(self.space, self.space.field.axpy({}, self.terms, c))
 
-    def scale(self, c) -> "TensorElement":
-        fld = self.space.field
-        if c == fld.zero:
-            return TensorElement(self.space, {})
-        return TensorElement(self.space, {w: fld.mul(c, v) for w, v in self.terms.items()})
+    def __eq__(self, other):
+        return (isinstance(other, type(self)) and other.space is self.space
+                and other.terms == self.terms)
+
+    def __bool__(self):
+        return bool(self.terms)
+
+
+class TensorElement(_SparseElement):
+    """Sparse element of the tensor algebra over a braided space."""
+
+    __slots__ = ()
 
     def __mul__(self, other):
         """Concatenation product."""
@@ -312,21 +329,8 @@ class TensorElement:
         fld = self.space.field
         out: dict = {}
         for wa, ca in self.terms.items():
-            for wb, cb in other.terms.items():
-                w = wa + wb
-                v = fld.add(out.get(w, fld.zero), fld.mul(ca, cb))
-                if v == fld.zero:
-                    out.pop(w, None)
-                else:
-                    out[w] = v
+            fld.axpy(out, {wa + wb: cb for wb, cb in other.terms.items()}, ca)
         return TensorElement(self.space, out)
-
-    def __eq__(self, other):
-        return (isinstance(other, TensorElement) and other.space is self.space
-                and other.terms == self.terms)
-
-    def __bool__(self):
-        return bool(self.terms)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -362,12 +366,7 @@ class TensorElement:
         out: dict = {}
         for item in obj["terms"]:
             w = words.validate_word(words.parse_word(item["word"]), space.dim)
-            c = fld.parse(item["coeff"])
-            v = fld.add(out.get(w, fld.zero), c)
-            if v == fld.zero:
-                out.pop(w, None)
-            else:
-                out[w] = v
+            fld.axpy(out, {w: fld.parse(item["coeff"])}, fld.one)
         return cls(space, out)
 
     def __repr__(self):
@@ -381,83 +380,38 @@ class TensorElement:
         return " + ".join(bits)
 
 
-class TensorSquareElement:
+def _braided_mul(space, left: dict, right: dict, inverse: bool = False) -> dict:
+    """The braided product of two TV ox TV term dicts (see
+    TensorSquareElement.__mul__), with c^{-1} in place of c when inverse is set.
+    """
+    fld = space.field
+    out: dict = {}
+    for (wa, wb), cab in left.items():
+        for (wc, wd), ccd in right.items():
+            fld.axpy(out, {(wa + l, r + wd): f for (l, r), f
+                           in space.braid_words(wb, wc, inverse).items()},
+                     fld.mul(cab, ccd))
+    return out
+
+
+class TensorSquareElement(_SparseElement):
     """Sparse element of TV tensor TV with the braided multiplication."""
 
-    __slots__ = ("space", "terms")
-
-    def __init__(self, space: BraidedSpace, terms: dict):
-        self.space = space
-        self.terms = terms
+    __slots__ = ()
 
     @classmethod
     def from_pair(cls, x: TensorElement, y: TensorElement) -> "TensorSquareElement":
         fld = x.space.field
         out: dict = {}
         for wa, ca in x.terms.items():
-            for wb, cb in y.terms.items():
-                v = fld.mul(ca, cb)
-                if v != fld.zero:
-                    out[(wa, wb)] = fld.add(out.get((wa, wb), fld.zero), v)
-                    if out[(wa, wb)] == fld.zero:
-                        del out[(wa, wb)]
+            fld.axpy(out, {(wa, wb): cb for wb, cb in y.terms.items()}, ca)
         return cls(x.space, out)
-
-    def _same(self, other):
-        if not isinstance(other, TensorSquareElement) or other.space is not self.space:
-            raise ValueError("operands live over different braided spaces")
-
-    def __add__(self, other):
-        self._same(other)
-        fld = self.space.field
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            v = fld.add(out.get(k, fld.zero), c)
-            if v == fld.zero:
-                out.pop(k, None)
-            else:
-                out[k] = v
-        return TensorSquareElement(self.space, out)
-
-    def __neg__(self):
-        fld = self.space.field
-        return TensorSquareElement(self.space,
-                                   {k: fld.neg(c) for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c) -> "TensorSquareElement":
-        fld = self.space.field
-        if c == fld.zero:
-            return TensorSquareElement(self.space, {})
-        return TensorSquareElement(self.space,
-                                   {k: fld.mul(c, v) for k, v in self.terms.items()})
 
     def __mul__(self, other):
         """(a ox b)(c ox d) = sum (a c_i) ox (b_i d) over c(x_b ox x_c)."""
         self._same(other)
-        space = self.space
-        fld = space.field
-        out: dict = {}
-        for (wa, wb), cab in self.terms.items():
-            for (wc, wd), ccd in other.terms.items():
-                base = fld.mul(cab, ccd)
-                for (wc2, wb2), f in space.braid_words(wb, wc).items():
-                    key = (wa + wc2, wb2 + wd)
-                    v = fld.add(out.get(key, fld.zero), fld.mul(base, f))
-                    if v == fld.zero:
-                        out.pop(key, None)
-                    else:
-                        out[key] = v
-        return TensorSquareElement(self.space, out)
-
-    def __eq__(self, other):
-        return (isinstance(other, TensorSquareElement)
-                and other.space is self.space and other.terms == self.terms)
-
-    def __bool__(self):
-        return bool(self.terms)
+        return TensorSquareElement(
+            self.space, _braided_mul(self.space, self.terms, other.terms))
 
     def support(self) -> list:
         return sorted(self.terms,
@@ -476,26 +430,20 @@ class TensorSquareElement:
             for k in self.support())
 
 
+def _braid_terms(x: TensorElement, y: TensorElement, inverse: bool) -> dict:
+    """c^{+-1}(x tensor y) as a TV ox TV term dict: (1 ox x)(y ox 1)."""
+    return _braided_mul(x.space, {((), w): c for w, c in x.terms.items()},
+                        {(w, ()): c for w, c in y.terms.items()}, inverse)
+
+
 def braid_apply(x: TensorElement, y: TensorElement,
                 inverse: bool = False) -> TensorSquareElement:
     """c(x tensor y), or its inverse, for homogeneous x and y."""
     if not (x.is_homogeneous() and y.is_homogeneous()):
         raise ValueError("braid application needs homogeneous arguments")
-    space = x.space
-    if y.space is not space:
+    if y.space is not x.space:
         raise ValueError("operands live over different braided spaces")
-    fld = space.field
-    out: dict = {}
-    for wa, ca in x.terms.items():
-        for wb, cb in y.terms.items():
-            base = fld.mul(ca, cb)
-            for key, f in space.braid_words(wa, wb, inverse).items():
-                v = fld.add(out.get(key, fld.zero), fld.mul(base, f))
-                if v == fld.zero:
-                    out.pop(key, None)
-                else:
-                    out[key] = v
-    return TensorSquareElement(space, out)
+    return TensorSquareElement(x.space, _braid_terms(x, y, inverse))
 
 
 def multiply(x: TensorElement, y: TensorElement) -> TensorElement:
@@ -503,20 +451,12 @@ def multiply(x: TensorElement, y: TensorElement) -> TensorElement:
 
 
 def _m_braid(space, a: TensorElement, b: TensorElement, inverse: bool) -> TensorElement:
-    """Multiplication composed with the braiding: m(c^{+-1}(a tensor b))."""
-    fld = space.field
-    out: dict = {}
-    for wa, ca in a.terms.items():
-        for wb, cb in b.terms.items():
-            base = fld.mul(ca, cb)
-            for (l, r), f in space.braid_words(wa, wb, inverse).items():
-                w = l + r
-                v = fld.add(out.get(w, fld.zero), fld.mul(base, f))
-                if v == fld.zero:
-                    out.pop(w, None)
-                else:
-                    out[w] = v
-    return TensorElement(space, out)
+    """Multiplication composed with the braiding: m(c^{+-1}(a tensor b)).
+
+    a and b are homogeneous, so l + r tells the braided terms (l, r) apart.
+    """
+    return TensorElement(space, {l + r: c for (l, r), c
+                                 in _braid_terms(a, b, inverse).items()})
 
 
 class BracketLetter:
@@ -534,17 +474,25 @@ class BracketLetter:
         return wrap.format(words.format_word(self.word))
 
 
-def _bracket_value(space: BraidedSpace, u: tuple, flavor: str) -> TensorElement:
-    key = ("br", flavor, u)
+def _bracket_value(space: BraidedSpace, u: tuple, cw: tuple, flavor: str) -> TensorElement:
+    """Bracket of the coordinate word cw along the Lyndon shape u.
+
+    The shape is split at its Shirshov factorization and cw at the same
+    place.  For a coordinate Lyndon word the shape is the word itself
+    (cw == u); a Lyndon word over the alphabet of braiding-stable blocks
+    (see BraidedSpace.component_partition) is the shape of each coordinate
+    word that fills its letters from their blocks.
+    """
+    key = ("br", flavor, u, cw)
     hit = space._cache.get(key)
     if hit is not None:
         return hit
     if len(u) == 1:
-        val = space.generator(u[0])
+        val = space.generator(cw[0])
     else:
         v, w = words.shirshov(u)
-        a = _bracket_value(space, v, flavor)
-        b = _bracket_value(space, w, flavor)
+        a = _bracket_value(space, v, cw[:len(v)], flavor)
+        b = _bracket_value(space, w, cw[len(v):], flavor)
         twist = _m_braid(space, a, b, inverse=(flavor == "left"))
         val = a * b - twist
     space._cache[key] = val
@@ -562,7 +510,7 @@ def bracket(space: BraidedSpace, u, flavor: str = "left") -> BracketLetter:
         raise ValueError(f"{u} is not a Lyndon word")
     if flavor not in ("left", "double"):
         raise ValueError(f"unknown bracket flavor {flavor!r}")
-    return BracketLetter(u, flavor, _bracket_value(space, u, flavor))
+    return BracketLetter(u, flavor, _bracket_value(space, u, u, flavor))
 
 
 def bracket_word(space: BraidedSpace, sw, flavor: str = "left") -> TensorElement:
@@ -570,21 +518,23 @@ def bracket_word(space: BraidedSpace, sw, flavor: str = "left") -> TensorElement
     sw = words.validate_superword(sw, monotonic=True)
     for f in sw:
         words.validate_word(f, space.dim)
-    return _bracket_word_value(space, sw, flavor)
+    return _bracket_word_value(space, sw, words.concat(sw), flavor)
 
 
-def _bracket_word_value(space, sw: tuple, flavor: str) -> TensorElement:
-    key = ("bw", flavor, sw)
+def _bracket_word_value(space, sw: tuple, cw: tuple, flavor: str) -> TensorElement:
+    """Ordered product of the brackets of cw along the shapes in sw."""
+    key = ("bw", flavor, sw, cw)
     hit = space._cache.get(key)
     if hit is not None:
         return hit
     if not sw:
         val = space.unit()
     elif len(sw) == 1:
-        val = _bracket_value(space, sw[0], flavor)
+        val = _bracket_value(space, sw[0], cw, flavor)
     else:
-        val = _bracket_word_value(space, sw[:-1], flavor) * _bracket_value(
-            space, sw[-1], flavor)
+        cut = len(cw) - len(sw[-1])
+        val = _bracket_word_value(space, sw[:-1], cw[:cut], flavor) * _bracket_value(
+            space, sw[-1], cw[cut:], flavor)
     space._cache[key] = val
     return val
 
@@ -593,7 +543,7 @@ def bracket_element(space: BraidedSpace, w, flavor: str = "left") -> TensorEleme
     """The bracketing of an arbitrary word: bracket letters along its
     Chen-Fox-Lyndon factorization, multiplied in order."""
     w = words.validate_word(w, space.dim)
-    return _bracket_word_value(space, words.cfl_factorize(w), flavor)
+    return _bracket_word_value(space, words.cfl_factorize(w), w, flavor)
 
 
 def leading_vector(x: TensorElement) -> tuple:
@@ -615,7 +565,6 @@ def expand_monotonic_basis(x: TensorElement) -> dict:
     if not x.is_homogeneous():
         raise ValueError("expansion needs a homogeneous element")
     space = x.space
-    fld = space.field
     residual = dict(x.terms)
     out: dict = {}
     while residual:
@@ -623,12 +572,8 @@ def expand_monotonic_basis(x: TensorElement) -> dict:
         sw = words.cfl_factorize(w)
         coeff = residual[w]
         out[sw] = coeff
-        for w2, c2 in _bracket_word_value(space, sw, "left").terms.items():
-            v = fld.sub(residual.get(w2, fld.zero), fld.mul(coeff, c2))
-            if v == fld.zero:
-                residual.pop(w2, None)
-            else:
-                residual[w2] = v
+        space.field.axpy(residual, _bracket_word_value(space, sw, w, "left").terms,
+                         -coeff)
     return out
 
 
@@ -653,15 +598,9 @@ def _coproduct_word(space, w: tuple) -> dict:
 def coproduct(x: TensorElement) -> TensorSquareElement:
     """The braided coproduct: the algebra map with primitive generators."""
     space = x.space
-    fld = space.field
     out: dict = {}
     for w, c in x.terms.items():
-        for k, f in _coproduct_word(space, w).items():
-            v = fld.add(out.get(k, fld.zero), fld.mul(c, f))
-            if v == fld.zero:
-                out.pop(k, None)
-            else:
-                out[k] = v
+        space.field.axpy(out, _coproduct_word(space, w), c)
     return TensorSquareElement(space, out)
 
 
@@ -690,15 +629,9 @@ def _antipode_word(space, w: tuple) -> TensorElement:
 def antipode(x: TensorElement) -> TensorElement:
     """The braided antipode: S(x_i) = -x_i, S(xy) = m c(S(x) tensor S(y))."""
     space = x.space
-    fld = space.field
     out: dict = {}
     for w, c in x.terms.items():
-        for w2, f in _antipode_word(space, w).terms.items():
-            v = fld.add(out.get(w2, fld.zero), fld.mul(c, f))
-            if v == fld.zero:
-                out.pop(w2, None)
-            else:
-                out[w2] = v
+        space.field.axpy(out, _antipode_word(space, w).terms, c)
     return TensorElement(space, out)
 
 

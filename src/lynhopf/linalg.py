@@ -21,19 +21,12 @@ class Eliminator:
 
     def _sweep(self, vec: dict) -> dict:
         """Reduce vec against current pivots until its lead is fresh or it dies."""
-        fld = self.field
         while vec:
             lead = min(vec)
             row = self.pivots.get(lead)
             if row is None:
                 return vec
-            factor = vec[lead]
-            for k, v in row.items():
-                newv = fld.sub(vec.get(k, fld.zero), fld.mul(factor, v))
-                if newv == fld.zero:
-                    vec.pop(k, None)
-                else:
-                    vec[k] = newv
+            self.field.axpy(vec, row, -vec[lead])
         return vec
 
     def insert(self, vec: dict) -> bool:
@@ -72,14 +65,8 @@ def rref(field, rows) -> dict:
             if other_lead >= lead:
                 continue
             factor = other_row.get(lead)
-            if factor is None:
-                continue
-            for k, v in row.items():
-                newv = field.sub(other_row.get(k, field.zero), field.mul(factor, v))
-                if newv == field.zero:
-                    other_row.pop(k, None)
-                else:
-                    other_row[k] = newv
+            if factor is not None:
+                field.axpy(other_row, row, -factor)
     return pivots
 
 
@@ -89,14 +76,8 @@ def reduce_mod(field, vec: dict, pivots: dict) -> dict:
     hits = [k for k in vec if k in pivots]
     for lead in hits:
         factor = vec.get(lead)
-        if factor is None or factor == field.zero:
-            continue
-        for k, v in pivots[lead].items():
-            newv = field.sub(vec.get(k, field.zero), field.mul(factor, v))
-            if newv == field.zero:
-                vec.pop(k, None)
-            else:
-                vec[k] = newv
+        if factor is not None:
+            field.axpy(vec, pivots[lead], -factor)
     return vec
 
 

@@ -13,9 +13,12 @@ import os
 from dataclasses import dataclass
 
 from . import words
-from .freealg import (BraidedSpace, TensorElement, _bracket_value,
-                      _bracket_word_value, _m_braid, build_space, coproduct,
-                      source_requirements)
+from .freealg import BraidedSpace, TensorElement, _apply_slot
+# One bracket recursion serves coordinate and block-alphabet shapes; here its
+# shapes are block words (coordinate words when the braiding is diagonal).
+from .freealg import _bracket_value as _block_bracket
+from .freealg import _bracket_word_value as _block_bracket_word
+from .freealg import build_space, coproduct, source_requirements
 from .linalg import Eliminator, kernel, reduce_mod, rref
 from .scalars import next_prime_with
 from .series import PowerSeries, geometric_factor
@@ -80,29 +83,11 @@ def symmetrizer(space: BraidedSpace, n: int, cap: int | None = None) -> dict:
             acc = dict(base)
             cur = base
             for slot in range(n - 1, 0, -1):
-                cur = _slot_image(field, cur, slot, cmap)
-                for t, c in cur.items():
-                    v = field.add(acc.get(t, field.zero), c)
-                    if v == field.zero:
-                        acc.pop(t, None)
-                    else:
-                        acc[t] = v
+                cur = _apply_slot(field, cur, slot, cmap)
+                field.axpy(acc, cur, field.one)
             cols[w] = acc
     space._cache[key] = cols
     return cols
-
-
-def _slot_image(field, state: dict, slot: int, cmap: dict) -> dict:
-    out: dict = {}
-    for w, coeff in state.items():
-        for (c, d), f in cmap[(w[slot - 1], w[slot])].items():
-            nw = w[:slot - 1] + (c, d) + w[slot + 1:]
-            v = field.add(out.get(nw, field.zero), field.mul(coeff, f))
-            if v == field.zero:
-                out.pop(nw, None)
-            else:
-                out[nw] = v
-    return out
 
 
 @dataclass(frozen=True)
@@ -209,6 +194,7 @@ class GradedQuotient:
         """Standard monomials: words of length n avoiding the relation pivots."""
         hit = self._basis.get(n)
         if hit is None:
+            _check_cap(self.space, n, self.cap)
             pivots = self._ensure(n)
             hit = tuple(w for w in itertools.product(
                 range(1, self.space.dim + 1), repeat=n) if w not in pivots)
@@ -276,7 +262,7 @@ class NonnegReport:
 
 
 def _pi_bracket_word(R: GradedQuotient, sw: tuple) -> dict:
-    val = _bracket_word_value(R.space, sw, "left")
+    val = _block_bracket_word(R.space, sw, words.concat(sw), "left")
     return R.project_terms(val.terms, words.superword_degree(sw))
 
 
@@ -305,6 +291,7 @@ def pbw_data(R: GradedQuotient, trunc: int | None = None) -> PBWData:
     G: list = []
     heights: dict = {}
     for n in range(1, N + 1):
+        _check_cap(R.space, n, R.cap)
         for u in sorted(g for g in G if heights[g] is None and n % len(g) == 0):
             h = n // len(u)
             if h < 2:
@@ -322,7 +309,7 @@ def pbw_data(R: GradedQuotient, trunc: int | None = None) -> PBWData:
         for u in words.enumerate_lyndon(R.space.dim, n):
             if len(u) != n:
                 continue
-            vec = R.project_terms(_bracket_value(R.space, u, "left").terms, n)
+            vec = R.project_terms(_block_bracket(R.space, u, u, "left").terms, n)
             if not span.contains(dict(vec)):
                 G.append(u)
                 heights[u] = None
@@ -359,41 +346,6 @@ def _instantiations(part: tuple, w: tuple):
     return itertools.product(*(part[b - 1] for b in w))
 
 
-def _block_bracket(space: BraidedSpace, part: tuple, u: tuple, cw: tuple) -> TensorElement:
-    """Left bracket of the coordinate monomial cw along the block-Lyndon word u."""
-    if len(part) == space.dim:
-        return _bracket_value(space, u, "left")
-    key = ("blbr", u, cw)
-    hit = space._cache.get(key)
-    if hit is None:
-        if len(u) == 1:
-            hit = space.generator(cw[0])
-        else:
-            v, w = words.shirshov(u)
-            a = _block_bracket(space, part, v, cw[:len(v)])
-            b = _block_bracket(space, part, w, cw[len(v):])
-            hit = (a * b) - _m_braid(space, a, b, True)
-        space._cache[key] = hit
-    return hit
-
-
-def _block_bracket_word(space: BraidedSpace, part: tuple, sw: tuple, cw: tuple) -> TensorElement:
-    """Ordered product of block brackets along the monotonic super-word sw."""
-    if len(part) == space.dim:
-        return _bracket_word_value(space, sw, "left")
-    key = ("blbw", sw, cw)
-    hit = space._cache.get(key)
-    if hit is None:
-        if not sw:
-            hit = space.unit()
-        else:
-            cut = len(cw) - len(sw[-1])
-            head = _block_bracket_word(space, part, sw[:-1], cw[:cut])
-            hit = head * _block_bracket(space, part, sw[-1], cw[cut:])
-        space._cache[key] = hit
-    return hit
-
-
 def subquotient_series(R: GradedQuotient, u, trunc: int | None = None) -> SubquotientSeries:
     """Series of A^(u)/I^(u) in R: A is spanned by monotonic bracket words
     with all super-letters >= u, I by those whose first super-letter is > u.
@@ -423,12 +375,12 @@ def subquotient_series(R: GradedQuotient, u, trunc: int | None = None) -> Subquo
         for first, last, sw in _cfl_table(space, D, m):
             if last >= u and first > u:
                 for cw in _instantiations(part, words.concat(sw)):
-                    val = _block_bracket_word(space, part, sw, cw)
+                    val = _block_bracket_word(space, sw, cw, "left")
                     span.insert(R.project_terms(val.terms, m))
         target = (u,) * k
         count = 0
         for cw in _instantiations(part, u * k):
-            val = _block_bracket_word(space, part, target, cw)
+            val = _block_bracket_word(space, target, cw, "left")
             if span.insert(R.project_terms(val.terms, m)):
                 count += 1
         coeffs[m] = count

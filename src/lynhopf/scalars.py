@@ -102,6 +102,20 @@ class PrimeField:
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
+    def axpy(self, out: dict, vec: dict, c) -> dict:
+        """out += c * vec on sparse dicts, in place; zero entries are dropped.
+
+        `c` may be any integer, negative or unreduced.  Returns `out`.
+        """
+        p = self.p
+        for k, v in vec.items():
+            s = (out.get(k, 0) + c * v) % p
+            if s:
+                out[k] = s
+            else:
+                out.pop(k, None)
+        return out
+
     def from_int(self, n: int):
         return n % self.p
 
@@ -177,6 +191,19 @@ class RationalField:
         if b == 0:
             raise ZeroDivisionError("division by zero")
         return a / b
+
+    def axpy(self, out: dict, vec: dict, c) -> dict:
+        """out += c * vec on sparse dicts, in place; zero entries are dropped.
+
+        Returns `out`.
+        """
+        for k, v in vec.items():
+            s = out.get(k, 0) + c * v
+            if s:
+                out[k] = s
+            else:
+                out.pop(k, None)
+        return out
 
     def from_int(self, n: int):
         return Fraction(n)

@@ -264,6 +264,10 @@ def test_resource_error(capsys, monkeypatch):
     obj = run_error(capsys, ["nichols", "dims", "--space",
                              "preset:quantum-plane", "--trunc", "6"])
     assert obj["kind"] == "resource"
+    monkeypatch.setenv("LH_MAX_MATRIX", "100")
+    obj = run_error(capsys, ["nichols", "pbw", "--kind", "free", "--space",
+                             "preset:cartan-A2", "--trunc", "8"])
+    assert obj["kind"] == "resource"
 
 
 def test_unsupported_error(capsys):

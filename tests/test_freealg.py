@@ -13,32 +13,13 @@ from lynhopf.freealg import (BraidedSpace, TensorSquareElement, antipode,
                              source_requirements, validate_braiding)
 from lynhopf.scalars import PrimeField, RationalField, primitive_root
 
-from conftest import random_diagonal
+from conftest import random_diagonal, swap_block_matrix
 
 
 def qp_space(field, q=None):
     q = field.neg(field.one) if q is None else q
     return BraidedSpace(field, 2, "diagonal",
                         [[q, field.one], [field.one, q]])
-
-
-def swap_block_matrix(field):
-    """d=3: letters 1,2 a permutation block (cocycle -1), letter 3 diagonal."""
-    sigma = {1: 2, 2: 1}
-    size = 9
-    dense = [[field.zero] * size for _ in range(size)]
-    neg = field.neg(field.one)
-    for a in range(1, 4):
-        for b in range(1, 4):
-            col = (a - 1) * 3 + (b - 1)
-            if a <= 2 and b <= 2:
-                c, d, v = sigma[b], a, neg
-            elif a == 3 and b == 3:
-                c, d, v = 3, 3, neg
-            else:
-                c, d, v = b, a, field.one
-            dense[(c - 1) * 3 + (d - 1)][col] = v
-    return dense
 
 
 # ---------------------------------------------------------------- validation

@@ -14,7 +14,7 @@ from lynhopf.nichols import (BadPrimeError, GradedQuotient, MatrixCapExceeded,
 from lynhopf.scalars import PrimeField, RationalField
 from lynhopf.series import PowerSeries
 
-from conftest import random_diagonal
+from conftest import random_diagonal, swap_block_matrix
 
 
 # ------------------------------------------------------------- oracle pieces
@@ -290,6 +290,32 @@ def test_factorization_free(field):
     assert rep.lhs.coeffs == tuple(2 ** n for n in range(7))
 
 
+@pytest.mark.parametrize("fld", [PrimeField(10007), RationalField()],
+                         ids=["prime", "rationals"])
+def test_factorization_free_block_shapes(fld):
+    # blocks (1,2) and (3,): block Lyndon words of length > 1 make the
+    # bracket recursion split coordinate words along block shapes
+    sp = BraidedSpace(fld, 3, "general", swap_block_matrix(fld))
+    assert sp.component_partition() == ((1, 2), (3,))
+    rep = verify_factorization(GradedQuotient(sp, "free", 6))
+    assert rep.ok
+    assert rep.lhs.coeffs == tuple(3 ** n for n in range(7))
+    assert len(rep.factors) == 23
+    sizes = {1: 2, 2: 1}
+    for f in rep.factors:
+        weight = 1
+        for b in f.word:
+            weight *= sizes[b]
+        step = len(f.word)
+        assert f.series.coeffs == tuple(
+            weight ** (n // step) if n % step == 0 else 0 for n in range(7)), f.word
+
+
+def test_factorization_nichols_block_shapes(field):
+    sp = BraidedSpace(field, 3, "general", swap_block_matrix(field))
+    assert verify_factorization(GradedQuotient(sp, "nichols", 5)).ok
+
+
 def test_factorization_rack(rack_nichols):
     rep = verify_factorization(rack_nichols)
     assert rep.ok
@@ -361,6 +387,12 @@ def test_matrix_cap_argument(field):
     R = GradedQuotient(sp, "nichols", 6, cap=10)
     with pytest.raises(MatrixCapExceeded):
         R.hilbert_series()
+    # the free kind has no relations to build, but its scans walk all words
+    free = GradedQuotient(sp, "free", 8, cap=100)
+    with pytest.raises(MatrixCapExceeded, match="128"):
+        pbw_data(free)
+    with pytest.raises(MatrixCapExceeded, match="128"):
+        free.basis(7)
 
 
 def test_run_guarded_agreement():

@@ -147,3 +147,41 @@ def test_next_prime_with():
     assert 10009 % p != 0 and 7 % p != 0
     # unit constraints skip primes dividing a numerator or denominator
     assert next_prime_with(11, (), (Fraction(1, 11),)) == 13
+
+
+@pytest.mark.parametrize("fld", [PrimeField(7), RationalField()],
+                         ids=["prime", "rationals"])
+def test_axpy(fld):
+    one, two = fld.one, fld.from_int(2)
+    out = {1: one, 2: two}
+    assert fld.axpy(out, {1: one, 3: two}, fld.neg(one)) is out
+    assert out == {2: two, 3: fld.neg(two)}  # the cancelled key is gone
+    assert fld.axpy(out, {2: one, 4: one}, fld.zero) == {2: two, 3: fld.neg(two)}
+    assert fld.axpy(out, {3: one}, two) == {2: two}
+
+    def naive(out, vec, c):
+        res = dict(out)
+        for k, v in vec.items():
+            s = fld.add(res.get(k, fld.zero), fld.mul(c, v))
+            if s == fld.zero:
+                res.pop(k, None)
+            else:
+                res[k] = s
+        return res
+
+    rng = random.Random(43)
+
+    def scalar():
+        return fld.from_int(rng.randint(-3, 3))
+
+    for _ in range(300):
+        out = {k: v for k in rng.sample(range(8), rng.randint(0, 6))
+               if (v := scalar()) != fld.zero}
+        vec = {k: v for k in rng.sample(range(8), rng.randint(0, 6))
+               if (v := scalar()) != fld.zero}
+        c = rng.randint(-9, 9) if fld.char else scalar()
+        expected = naive(out, vec, c)
+        assert fld.axpy(out, vec, c) == expected
+        assert fld.zero not in out.values()
+        if fld.char:
+            assert all(0 <= v < fld.p for v in out.values())
