@@ -95,30 +95,41 @@ def validate_braiding(field, dim: int, kind: str, data) -> BraidingReport:
     `data` is the d x d scalar matrix for kind "diagonal", or the d^2 x d^2
     matrix (rows and columns indexed by (i-1)*d + (j-1)) for kind "general".
     """
+    return _validated_braiding(field, dim, kind, data)[0]
+
+
+def _validated_braiding(field, dim: int, kind: str, data):
+    """validate_braiding's report, the braiding map and, for general
+    braidings, its inverse (diagonal ones need none: braid_words inverts the
+    q products instead); the maps are None unless the report is ok."""
+
+    def fail(message, triple=None):
+        return BraidingReport(False, message, triple), None, None
+
     if dim < 1 or dim > words.MAX_ALPHABET:
-        return BraidingReport(False, f"dimension {dim} outside 1..{words.MAX_ALPHABET}")
+        return fail(f"dimension {dim} outside 1..{words.MAX_ALPHABET}")
+    inv = None
     if kind == "diagonal":
         if len(data) != dim or any(len(r) != dim for r in data):
-            return BraidingReport(False, "diagonal braiding needs a d x d matrix")
+            return fail("diagonal braiding needs a d x d matrix")
         for i in range(dim):
             for j in range(dim):
                 if data[i][j] == field.zero:
-                    return BraidingReport(
-                        False, f"diagonal entry q[{i + 1}][{j + 1}] is zero")
+                    return fail(f"diagonal entry q[{i + 1}][{j + 1}] is zero")
         cmap = _diagonal_cmap(field, dim, data)
     elif kind == "general":
         if len(data) != dim * dim or any(len(r) != dim * dim for r in data):
-            return BraidingReport(False, "general braiding needs a d^2 x d^2 matrix")
+            return fail("general braiding needs a d^2 x d^2 matrix")
         cmap = _general_cmap(field, dim, data)
-        if _invert_cmap(field, dim, cmap) is None:
-            return BraidingReport(False, "braiding matrix is singular")
+        inv = _invert_cmap(field, dim, cmap)
+        if inv is None:
+            return fail("braiding matrix is singular")
     else:
-        return BraidingReport(False, f"unknown braiding kind {kind!r}")
+        return fail(f"unknown braiding kind {kind!r}")
     bad = _check_braid_equation(field, dim, cmap)
     if bad is not None:
-        return BraidingReport(
-            False, f"braid equation fails on basis triple {bad}", bad)
-    return BraidingReport(True, "ok")
+        return fail(f"braid equation fails on basis triple {bad}", bad)
+    return BraidingReport(True, "ok"), cmap, inv
 
 
 def _diagonal_cmap(field, dim, q):
@@ -145,21 +156,15 @@ class BraidedSpace:
     """A finite-dimensional braided vector space with cached bracket data."""
 
     def __init__(self, field, dim: int, kind: str, data, source=None):
-        report = validate_braiding(field, dim, kind, data)
+        report, self._cmap, self._cmap_inv = _validated_braiding(
+            field, dim, kind, data)
         if not report.ok:
             raise ValueError(f"invalid braiding: {report.message}")
         self.field = field
         self.dim = dim
         self.kind = kind
         self.source = source
-        if kind == "diagonal":
-            self.q = tuple(tuple(r) for r in data)
-            self._cmap = _diagonal_cmap(field, dim, data)
-            self._cmap_inv = None  # braid_words inverts the q products instead
-        else:
-            self.q = None
-            self._cmap = _general_cmap(field, dim, data)
-            self._cmap_inv = _invert_cmap(field, dim, self._cmap)
+        self.q = tuple(tuple(r) for r in data) if kind == "diagonal" else None
         self._cache: dict = {}
 
     @property

@@ -274,12 +274,14 @@ def _restricted_words(G: list, degree: int, heights: dict):
 def pbw_data(R: GradedQuotient, trunc: int | None = None) -> PBWData:
     """Hard Lyndon-word generators with heights, scanned degree by degree.
 
-    A Lyndon word u of degree n is accepted when the image of its bracket is
-    independent of the images of the restricted monotonic bracket words over
-    the generators accepted so far; candidates are scanned lexicographically.
-    An accepted u gets height h at degree h|u| when the image of bracket(u)^h
-    falls into the span of the lower restricted words of that degree; heights
-    cap letter multiplicities in all later restricted words.
+    In each degree the restricted monotonic bracket words over the generators
+    accepted so far go into one span in ascending order.  An accepted u gets
+    height h at degree h|u| when the image of bracket(u)^h falls into the span
+    of the lower restricted words; heights cap letter multiplicities in all
+    later restricted words (in this degree they only drop u^h, which adds
+    nothing to the span).  Then a Lyndon word u of degree n is accepted when
+    the image of its bracket is independent of that span; candidates are
+    scanned lexicographically.
     """
     if not R.space.is_diagonal:
         raise NotImplementedError(
@@ -292,20 +294,12 @@ def pbw_data(R: GradedQuotient, trunc: int | None = None) -> PBWData:
     heights: dict = {}
     for n in range(1, N + 1):
         _check_cap(R.space, n, R.cap)
-        for u in sorted(g for g in G if heights[g] is None and n % len(g) == 0):
-            h = n // len(u)
-            if h < 2:
-                continue
-            target = (u,) * h
-            span = Eliminator(field)
-            for sw in _restricted_words(G, n, heights):
-                if sw < target:
-                    span.insert(_pi_bracket_word(R, sw))
-            if span.contains(_pi_bracket_word(R, target)):
-                heights[u] = h
+        powers = {(u,) * (n // len(u)): u for u in G
+                  if heights[u] is None and n % len(u) == 0 and n > len(u)}
         span = Eliminator(field)
-        for sw in _restricted_words(G, n, heights):
-            span.insert(_pi_bracket_word(R, sw))
+        for sw in sorted(_restricted_words(G, n, heights)):
+            if not span.insert(_pi_bracket_word(R, sw)) and sw in powers:
+                heights[powers[sw]] = len(sw)
         for u in words.enumerate_lyndon(R.space.dim, n):
             if len(u) != n:
                 continue
@@ -327,8 +321,10 @@ def pbw_series(data: PBWData, trunc: int | None = None) -> PowerSeries:
     return out
 
 
-def _cfl_table(space: BraidedSpace, d: int, m: int) -> tuple:
-    """All degree-m words over 1..d with first and last CFL factor, sorted."""
+def _cfl_table(space: BraidedSpace, d: int, m: int, cap: int | None) -> tuple:
+    """All degree-m words over 1..d as (first, last, CFL factors) rows,
+    sorted by last factor, descending."""
+    _check_cap(space, m, cap)
     key = ("cfl_table", d, m)
     hit = space._cache.get(key)
     if hit is None:
@@ -336,7 +332,7 @@ def _cfl_table(space: BraidedSpace, d: int, m: int) -> tuple:
         for w in itertools.product(range(1, d + 1), repeat=m):
             sw = words.cfl_factorize(w)
             rows.append((sw[0], sw[-1], sw))
-        hit = tuple(rows)
+        hit = tuple(sorted(rows, key=lambda row: row[1], reverse=True))
         space._cache[key] = hit
     return hit
 
@@ -344,6 +340,50 @@ def _cfl_table(space: BraidedSpace, d: int, m: int) -> tuple:
 def _instantiations(part: tuple, w: tuple):
     """Coordinate words filling each block-alphabet slot of w from its block."""
     return itertools.product(*(part[b - 1] for b in w))
+
+
+def _subquotient_counts(R: GradedQuotient, m: int, stop=None) -> dict:
+    """Degree-m coefficients of the subquotient series of every Lyndon word
+    u with |u| dividing m, in one descending sweep: {u: coefficient}.
+
+    The ideal part of u, the monotonic bracket words sw != u^k with
+    last(sw) >= u, only grows as u decreases.  So the sweep walks u downwards,
+    first inserting every row of the CFL table with last factor >= u that is
+    not a power (powers enter at their own step), then counting how many
+    images of u^k raise the rank; those stay in the span for the smaller
+    words.  With `stop` the sweep ends after that word's step; otherwise it
+    has inserted every bracket word of degree m, whose images span R_m.
+    """
+    space = R.space
+    part = space.component_partition()
+    rows = _cfl_table(space, len(part), m, R.cap)
+    span = Eliminator(space.field)
+
+    def insert(sw) -> int:
+        grown = 0
+        for cw in _instantiations(part, words.concat(sw)):
+            val = _block_bracket_word(space, sw, cw, "left")
+            grown += span.insert(R.project_terms(val.terms, m))
+        return grown
+
+    counts = {}
+    i = 0
+    for u in reversed(words.enumerate_lyndon(len(part), m)):
+        if m % len(u):
+            continue
+        while i < len(rows) and rows[i][1] >= u:
+            first, last, sw = rows[i]
+            i += 1
+            if first != last:
+                insert(sw)
+        counts[u] = insert((u,) * (m // len(u)))
+        if u == stop:
+            return counts
+    if span.rank != R.dim(m):
+        raise RuntimeError(
+            f"degree {m}: the bracket words span rank {span.rank}, "
+            f"not dim R_{m} = {R.dim(m)}")
+    return counts
 
 
 def subquotient_series(R: GradedQuotient, u, trunc: int | None = None) -> SubquotientSeries:
@@ -355,52 +395,40 @@ def subquotient_series(R: GradedQuotient, u, trunc: int | None = None) -> Subquo
     coefficient is the number of bracket images of u^k staying independent
     of the ideal part; for one-dimensional blocks it is 0 or 1.
     """
-    space = R.space
-    part = space.component_partition()
-    D = len(part)
+    D = len(R.space.component_partition())
     u = words.validate_word(u, D)
     if not words.is_lyndon(u):
         raise ValueError(f"{u} is not a Lyndon word")
     N = R.trunc if trunc is None else trunc
     if N > R.trunc:
         raise ValueError(f"degree {N} exceeds truncation {R.trunc}")
-    field = space.field
     coeffs = [0] * (N + 1)
     coeffs[0] = 1
-    k = 1
-    while k * len(u) <= N:
-        m = k * len(u)
-        _check_cap(space, m, R.cap)
-        span = Eliminator(field)
-        for first, last, sw in _cfl_table(space, D, m):
-            if last >= u and first > u:
-                for cw in _instantiations(part, words.concat(sw)):
-                    val = _block_bracket_word(space, sw, cw, "left")
-                    span.insert(R.project_terms(val.terms, m))
-        target = (u,) * k
-        count = 0
-        for cw in _instantiations(part, u * k):
-            val = _block_bracket_word(space, target, cw, "left")
-            if span.insert(R.project_terms(val.terms, m)):
-                count += 1
-        coeffs[m] = count
-        k += 1
+    for m in range(len(u), N + 1, len(u)):
+        coeffs[m] = _subquotient_counts(R, m, stop=u)[u]
     return SubquotientSeries(u, PowerSeries(tuple(coeffs)))
 
 
 def verify_factorization(R: GradedQuotient, trunc: int | None = None) -> FactorizationReport:
-    """Compare hilbert_series with the product of all subquotient series."""
+    """Compare hilbert_series with the product of all subquotient series.
+
+    One sweep per degree yields every factor's coefficient of that degree
+    and checks that the bracket words span R_m.
+    """
     N = R.trunc if trunc is None else trunc
     lhs = R.hilbert_series(N)
-    factors = []
+    D = len(R.space.component_partition())
+    coeffs = {u: [1] + [0] * N
+              for u in words.enumerate_lyndon(D, max(N, 1)) if len(u) <= N}
+    for m in range(1, N + 1):
+        for u, c in _subquotient_counts(R, m).items():
+            coeffs[u][m] = c
+    factors = tuple(SubquotientSeries(u, PowerSeries(tuple(c)))
+                    for u, c in coeffs.items())
     rhs = PowerSeries.one(N)
-    for u in words.enumerate_lyndon(len(R.space.component_partition()), max(N, 1)):
-        if len(u) > N:
-            continue
-        sq = subquotient_series(R, u, N)
-        factors.append(sq)
+    for sq in factors:
         rhs = rhs * sq.series
-    return FactorizationReport(lhs == rhs, N, lhs, rhs, tuple(factors))
+    return FactorizationReport(lhs == rhs, N, lhs, rhs, factors)
 
 
 def _rank_one_height(field, q):

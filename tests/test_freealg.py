@@ -51,6 +51,26 @@ def test_validate_general(field):
     assert not rep.ok and "singular" in rep.message
 
 
+def test_space_inverts_general_braiding_once(field, monkeypatch):
+    from lynhopf import freealg
+    calls = []
+    invert = freealg._invert_cmap
+
+    def counting(*args):
+        calls.append(args)
+        return invert(*args)
+
+    monkeypatch.setattr(freealg, "_invert_cmap", counting)
+    sp = BraidedSpace(field, 3, "general", freealg._s3_rack_matrix(field))
+    assert len(calls) == 1
+    # the inverse kept by the space undoes the braiding on every pair
+    for ab, image in sp._cmap.items():
+        back = {}
+        for cd, v in image.items():
+            field.axpy(back, sp._cmap_inv[cd], v)
+        assert back == {ab: field.one}
+
+
 # ------------------------------------------------------------------ braiding
 
 def test_braid_words_diagonal_scalars(field):

@@ -5,7 +5,10 @@ import random
 
 import pytest
 
-from lynhopf.freealg import BraidedSpace, space_from_preset
+from lynhopf import words
+from lynhopf.freealg import (BraidedSpace, _bracket_value, _bracket_word_value,
+                             space_from_preset)
+from lynhopf.linalg import Eliminator
 from lynhopf.nichols import (BadPrimeError, GradedQuotient, MatrixCapExceeded,
                              PBWGenerator, hilbert_series,
                              nonneg_quotient_check, pbw_data, pbw_series,
@@ -73,6 +76,75 @@ def oracle_symmetrizer(sp, n):
                     acc[t] = v
         cols[base] = acc
     return cols
+
+
+def bracket_image(R, sw, cw, m):
+    """Projection onto R of the left bracket word of shape sw filled with cw."""
+    return R.project_terms(_bracket_word_value(R.space, sw, cw, "left").terms, m)
+
+
+def oracle_subquotient(R, u, trunc):
+    """Per-word scan: a fresh span of the ideal part of u in every degree k|u|."""
+    part = R.space.component_partition()
+    coeffs = [1] + [0] * trunc
+    for m in range(len(u), trunc + 1, len(u)):
+        span = Eliminator(R.space.field)
+        for w in itertools.product(range(1, len(part) + 1), repeat=m):
+            sw = words.cfl_factorize(w)
+            if sw[-1] >= u and sw[0] > u:
+                for cw in itertools.product(*(part[b - 1] for b in w)):
+                    span.insert(bracket_image(R, sw, cw, m))
+        target = (u,) * (m // len(u))
+        for cw in itertools.product(*(part[b - 1] for b in u * len(target))):
+            coeffs[m] += span.insert(bracket_image(R, target, cw, m))
+    return tuple(coeffs)
+
+
+def oracle_pbw(R):
+    """Per-candidate scan: a fresh span for every height test of every degree."""
+    field = R.space.field
+
+    def image(sw):
+        return bracket_image(R, sw, words.concat(sw), words.superword_degree(sw))
+
+    def restricted(G, n, heights):
+        caps = {u: h - 1 for u, h in heights.items() if h is not None}
+        return words.monotonic_superwords(G, n, caps or None)
+
+    G, heights = [], {}
+    for n in range(1, R.trunc + 1):
+        for u in sorted(g for g in G if heights[g] is None and n % len(g) == 0):
+            h = n // len(u)
+            if h < 2:
+                continue
+            target = (u,) * h
+            span = Eliminator(field)
+            for sw in restricted(G, n, heights):
+                if sw < target:
+                    span.insert(image(sw))
+            if span.contains(image(target)):
+                heights[u] = h
+        span = Eliminator(field)
+        for sw in restricted(G, n, heights):
+            span.insert(image(sw))
+        for u in words.enumerate_lyndon(R.space.dim, n):
+            if len(u) != n:
+                continue
+            vec = R.project_terms(_bracket_value(R.space, u, u, "left").terms, n)
+            if not span.contains(dict(vec)):
+                G.append(u)
+                heights[u] = None
+                span.insert(vec)
+    return tuple(PBWGenerator(u, heights[u]) for u in sorted(G))
+
+
+def random_root_diagonal(d, rng):
+    """A diagonal space over F_10009 with random sixth roots of unity as q_ij,
+    so that Nichols quotients have relations and generators have heights."""
+    fld = PrimeField(10009)
+    zeta = fld.element_of_order(6)
+    q = [[pow(zeta, rng.randrange(6), fld.p) for _ in range(d)] for _ in range(d)]
+    return BraidedSpace(fld, d, "diagonal", q)
 
 
 # --------------------------------------------------------------- symmetrizer
@@ -323,6 +395,74 @@ def test_factorization_rack(rack_nichols):
     assert rep.factors[0].series == rack_nichols.hilbert_series()
 
 
+def check_sweep_against_oracle(R):
+    rep = verify_factorization(R)
+    assert rep.ok
+    N = R.trunc
+    D = len(R.space.component_partition())
+    assert [f.word for f in rep.factors] == [
+        u for u in words.enumerate_lyndon(D, max(N, 1)) if len(u) <= N]
+    for f in rep.factors:
+        assert f.series.coeffs == oracle_subquotient(R, f.word, N), f.word
+        assert subquotient_series(R, f.word) == f
+
+
+@pytest.mark.parametrize("d,trunc", [(2, 7), (3, 5)])
+@pytest.mark.parametrize("kind", ["free", "nichols"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_sweep_matches_per_word_oracle(field, d, trunc, kind, seed):
+    sp = random_diagonal(field, d, random.Random(1000 * d + seed))
+    check_sweep_against_oracle(GradedQuotient(sp, kind, trunc))
+
+
+@pytest.mark.parametrize("d,trunc", [(2, 7), (3, 5)])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_sweep_matches_per_word_oracle_roots_of_unity(d, trunc, seed):
+    sp = random_root_diagonal(d, random.Random(2000 * d + seed))
+    check_sweep_against_oracle(GradedQuotient(sp, "nichols", trunc))
+
+
+@pytest.mark.parametrize("fld", [PrimeField(10007), RationalField()],
+                         ids=["prime", "rationals"])
+@pytest.mark.parametrize("kind,trunc", [("free", 5), ("nichols", 5)])
+def test_sweep_matches_per_word_oracle_block_shapes(fld, kind, trunc):
+    sp = BraidedSpace(fld, 3, "general", swap_block_matrix(fld))
+    check_sweep_against_oracle(GradedQuotient(sp, kind, trunc))
+
+
+def test_sweep_matches_per_word_oracle_rack(rack_nichols):
+    check_sweep_against_oracle(rack_nichols)
+
+
+@pytest.mark.parametrize("d,trunc", [(2, 7), (3, 5)])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_pbw_matches_per_candidate_oracle(field, d, trunc, seed):
+    for sp in (random_diagonal(field, d, random.Random(3000 * d + seed)),
+               random_root_diagonal(d, random.Random(4000 * d + seed))):
+        R = GradedQuotient(sp, "nichols", trunc)
+        assert pbw_data(R).generators == oracle_pbw(R)
+
+
+def test_pbw_matches_per_candidate_oracle_presets(qp_nichols, cartan_three):
+    for R in (qp_nichols, cartan_three):
+        assert pbw_data(R).generators == oracle_pbw(R)
+    assert pbw_data(cartan_three).generators == (
+        PBWGenerator((1,), 3), PBWGenerator((1, 2), 3), PBWGenerator((2,), 3))
+
+
+def test_pbw_and_sweep_match_oracles_on_presented_quotient(qp_nichols):
+    # x1^2 = -x2^2: the height of 2 comes from a dependency on a lower word,
+    # not from a power that vanishes, so the scan order matters here
+    sp = qp_nichols.space
+    f = sp.field
+    rel = sp.element({(1, 1): f.one, (2, 2): f.one})
+    R = GradedQuotient(sp, "presented", 6, relations=(rel,))
+    assert pbw_data(R).generators == oracle_pbw(R) == (
+        PBWGenerator((1,), None), PBWGenerator((1, 2), None),
+        PBWGenerator((2,), 2))
+    check_sweep_against_oracle(R)
+
+
 # -------------------------------------------------------------- nonnegativity
 
 def test_nonneg_quantum_plane(qp_nichols):
@@ -393,6 +533,10 @@ def test_matrix_cap_argument(field):
         pbw_data(free)
     with pytest.raises(MatrixCapExceeded, match="128"):
         free.basis(7)
+    with pytest.raises(MatrixCapExceeded, match="128"):
+        verify_factorization(free)
+    with pytest.raises(MatrixCapExceeded, match="128"):
+        subquotient_series(free, (1,))
 
 
 def test_run_guarded_agreement():
