@@ -13,13 +13,13 @@ from .scalars import (PrimeField, RationalField, field_from_json, is_prime,
 from .series import PowerSeries, IdentityReport, lyndon_identity_check
 from .freealg import (BraidedSpace, BraidingReport, TensorElement,
                       TensorSquareElement, BracketLetter, validate_braiding,
-                      braid_apply, multiply, bracket, bracket_word,
-                      bracket_element, leading_vector, expand_monotonic_basis,
-                      coproduct, counit, antipode, space_from_json,
-                      space_from_preset, build_space)
+                      braid_apply, bracket, bracket_word, bracket_element,
+                      leading_vector, expand_monotonic_basis, coproduct,
+                      counit, antipode, space_from_json, space_from_preset,
+                      build_space)
 from .nichols import (GradedQuotient, GradedData, MatrixCapExceeded,
-                      BadPrimeError, symmetrizer, hilbert_series, PBWData,
-                      PBWGenerator, pbw_data, pbw_series, SubquotientSeries,
+                      BadPrimeError, symmetrizer, PBWData, PBWGenerator,
+                      pbw_data, pbw_series, SubquotientSeries,
                       subquotient_series, FactorizationReport,
                       verify_factorization, NonnegReport,
                       nonneg_quotient_check, run_guarded)

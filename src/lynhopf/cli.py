@@ -46,6 +46,8 @@ def _load_relations(space, path):
         return ()
     obj = _read_json(path)
     items = obj["relations"] if isinstance(obj, dict) else obj
+    if not isinstance(items, list):
+        raise ValueError("relations must be a list of elements")
     return tuple(TensorElement.from_json(space, item) for item in items)
 
 

@@ -67,26 +67,21 @@ def _check_braid_equation(field, dim: int, cmap: dict):
 
 
 def _invert_cmap(field, dim: int, cmap: dict):
-    """Columns of the inverse matrix, or None if singular."""
-    rows = []
+    """Columns of the inverse matrix, or None if singular.
+
+    The kernel of [-I | C] is {(C y, y)}; its reduced basis vector at (0, pk)
+    carries column pk of C^-1 in its (1, .) part, and such vectors cover
+    every pk exactly when C is invertible.
+    """
     pairs = [(a, b) for a in range(1, dim + 1) for b in range(1, dim + 1)]
-    for rk in pairs:
-        row = {(1, rk): field.one}
-        for ck in pairs:
-            v = cmap[ck].get(rk)
-            if v is not None and v != field.zero:
-                row[(0, ck)] = v
-        rows.append(row)
-    pivots = linalg.rref(field, rows)
-    if sorted(pivots) != [(0, pk) for pk in pairs]:
+    minus_one = field.neg(field.one)
+    columns = {(0, pk): {pk: minus_one} for pk in pairs}
+    columns.update(((1, ck), cmap[ck]) for ck in pairs)
+    basis = linalg.kernel(field, columns)
+    if sorted(basis) != [(0, pk) for pk in pairs]:
         return None
-    inv = {pk: {} for pk in pairs}
-    for rk in pairs:
-        row = pivots[(0, rk)]
-        for key, v in row.items():
-            if key[0] == 1:
-                inv[key[1]][rk] = v
-    return inv
+    return {pk: {ck: v for (side, ck), v in basis[(0, pk)].items() if side}
+            for pk in pairs}
 
 
 def validate_braiding(field, dim: int, kind: str, data) -> BraidingReport:
@@ -367,9 +362,13 @@ class TensorElement(_SparseElement):
 
     @classmethod
     def from_json(cls, space: BraidedSpace, obj: dict) -> "TensorElement":
+        items = obj["terms"] if isinstance(obj, dict) else None
+        if not isinstance(items, list) or not all(
+                isinstance(item, dict) for item in items):
+            raise ValueError("element must be {'terms': [objects]}")
         fld = space.field
         out: dict = {}
-        for item in obj["terms"]:
+        for item in items:
             w = words.validate_word(words.parse_word(item["word"]), space.dim)
             fld.axpy(out, {w: fld.parse(item["coeff"])}, fld.one)
         return cls(space, out)
@@ -449,10 +448,6 @@ def braid_apply(x: TensorElement, y: TensorElement,
     if y.space is not x.space:
         raise ValueError("operands live over different braided spaces")
     return TensorSquareElement(x.space, _braid_terms(x, y, inverse))
-
-
-def multiply(x: TensorElement, y: TensorElement) -> TensorElement:
-    return x * y
 
 
 def _m_braid(space, a: TensorElement, b: TensorElement, inverse: bool) -> TensorElement:
@@ -652,18 +647,27 @@ def space_from_json(obj: dict, prime=None) -> BraidedSpace:
     if not isinstance(dim, int) or dim < 1:
         raise ValueError(f"dim must be a positive integer, got {dim!r}")
     braiding = obj["braiding"]
-    for m in obj.get("root_orders", ()):
+    orders = obj.get("root_orders", [])
+    if not isinstance(orders, list) or any(
+            type(m) is not int or m < 1 for m in orders):
+        raise ValueError(
+            f"root_orders must be a list of positive integers, got {orders!r}")
+    for m in orders:
         if field.char == 0:
             if m > 2:
                 raise ValueError(f"no rational root of unity of order {m}")
         elif (field.p - 1) % m != 0:
             raise ValueError(f"F_{field.p} has no element of order {m}")
-    if "diagonal" in braiding:
-        data = [[field.parse(v) for v in row] for row in braiding["diagonal"]]
-        return BraidedSpace(field, dim, "diagonal", data, source=obj)
-    if "general" in braiding:
-        data = [[field.parse(v) for v in row] for row in braiding["general"]]
-        return BraidedSpace(field, dim, "general", data, source=obj)
+    if not isinstance(braiding, dict):
+        raise ValueError("braiding must be a JSON object")
+    for kind in ("diagonal", "general"):
+        if kind in braiding:
+            rows = braiding[kind]
+            if not isinstance(rows, list) or not all(
+                    isinstance(row, list) for row in rows):
+                raise ValueError(f"{kind} braiding must be a list of rows")
+            data = [[field.parse(v) for v in row] for row in rows]
+            return BraidedSpace(field, dim, kind, data, source=obj)
     raise ValueError("braiding must contain 'diagonal' or 'general'")
 
 

@@ -53,55 +53,47 @@ class Eliminator:
 def rref(field, rows) -> dict:
     """Fully reduced pivot map: each pivot row is zero at all other pivots.
 
-    Returns {lead key: row dict}; rows are inserted in the given order.
+    Returns {lead key: row dict}; rows are inserted in the given order.  Back
+    substitution reduces each pivot row, in descending lead order, modulo the
+    rows already reduced.
     """
     elim = Eliminator(field)
     for r in rows:
         elim.insert(dict(r))
     pivots = elim.pivots
+    done: dict = {}
     for lead in sorted(pivots, reverse=True):
-        row = pivots[lead]
-        for other_lead, other_row in pivots.items():
-            if other_lead >= lead:
-                continue
-            factor = other_row.get(lead)
-            if factor is not None:
-                field.axpy(other_row, row, -factor)
+        done[lead] = pivots[lead] = reduce_mod(field, pivots[lead], done)
     return pivots
 
 
 def reduce_mod(field, vec: dict, pivots: dict) -> dict:
     """Residual of vec modulo an rref pivot map (single pass; needs full rref)."""
     vec = dict(vec)
-    hits = [k for k in vec if k in pivots]
-    for lead in hits:
-        factor = vec.get(lead)
-        if factor is not None:
-            field.axpy(vec, pivots[lead], -factor)
+    for lead in [k for k in vec if k in pivots]:
+        field.axpy(vec, pivots[lead], -vec[lead])
     return vec
 
 
-def kernel(field, columns: dict) -> list:
-    """Nullspace basis of the linear map with the given sparse columns.
+def kernel(field, columns: dict) -> dict:
+    """Fully reduced nullspace basis of the linear map with the given columns.
 
-    `columns` maps column key -> {row key: value}.  Returns one dict per free
-    column, expressed in column keys, with a 1 at the free column.
+    `columns` maps column key -> {row key: value}.  Returns {free column:
+    vector}, vectors in column keys: each free column is its vector's least
+    key, with coefficient 1, and occurs in no other vector.  That is the rref
+    of the kernel, from one elimination whose pivots are the largest keys.
     """
+    keys = sorted(columns, reverse=True)
     rows: dict = {}
-    for ck in sorted(columns):
+    for i, ck in enumerate(keys):
         for rk, v in columns[ck].items():
             if v != field.zero:
-                rows.setdefault(rk, {})[ck] = v
+                rows.setdefault(rk, {})[i] = v
     pivot_map = rref(field, (rows[rk] for rk in sorted(rows)))
-    pivot_cols = set(pivot_map)
-    out = []
-    for ck in sorted(columns):
-        if ck in pivot_cols:
-            continue
-        vec = {ck: field.one}
-        for lead, row in pivot_map.items():
-            val = row.get(ck)
-            if val is not None and val != field.zero:
-                vec[lead] = field.neg(val)
-        out.append(vec)
+    out = {keys[i]: {keys[i]: field.one}
+           for i in reversed(range(len(keys))) if i not in pivot_map}
+    for lead, row in pivot_map.items():
+        for i, v in row.items():
+            if i != lead:
+                out[keys[i]][keys[lead]] = field.neg(v)
     return out

@@ -147,8 +147,7 @@ class GradedQuotient:
         if self.kind == "free":
             pivots = {}
         elif self.kind == "nichols":
-            cols = symmetrizer(space, n, self.cap)
-            pivots = rref(field, kernel(field, cols))
+            pivots = kernel(field, symmetrizer(space, n, self.cap))
         else:
             _check_cap(space, n, self.cap)
             rows = []
@@ -219,10 +218,6 @@ class GradedQuotient:
     def hilbert_series(self, trunc: int | None = None) -> PowerSeries:
         trunc = self.trunc if trunc is None else trunc
         return PowerSeries(tuple(self.dim(n) for n in range(trunc + 1)))
-
-
-def hilbert_series(R: GradedQuotient, trunc: int | None = None) -> PowerSeries:
-    return R.hilbert_series(trunc)
 
 
 @dataclass(frozen=True)

@@ -58,6 +58,8 @@ def factorize(n: int) -> dict[int, int]:
 
 
 def _parse_fraction(s: str) -> Fraction:
+    if not isinstance(s, str):
+        raise ValueError(f"scalar {s!r} must be a string like \"-1\" or \"2/3\"")
     s = s.strip()
     try:
         f = Fraction(s)

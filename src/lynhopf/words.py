@@ -167,6 +167,8 @@ def monotonic_superwords(letters: Sequence[Word], degree: int,
 
 def parse_word(s: str) -> Word:
     """Parse "12122" (digits, alphabet <= 9) or "10,2,13" (comma form)."""
+    if not isinstance(s, str):
+        raise ValueError(f"word {s!r} must be a string like \"12\"")
     s = s.strip()
     if s == "":
         return ()

@@ -259,6 +259,65 @@ def test_domain_errors(capsys):
     assert obj["kind"] == "domain"
 
 
+QP_DIAGONAL = [["-1", "1"], ["1", "-1"]]
+MALFORMED_SPACES = {
+    "numeric-scalars": {"braiding": {"diagonal": [[-1, 1], [1, -1]]}},
+    "root-orders-strings": {"root_orders": ["3"]},
+    "root-orders-number": {"root_orders": 3},
+    "root-orders-bool": {"root_orders": [True]},
+    "root-orders-zero": {"root_orders": [0]},
+    "braiding-list": {"braiding": ["diagonal"]},
+    "braiding-rows-not-lists": {"braiding": {"diagonal": [1, 2]}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SPACES))
+def test_malformed_space_json_is_domain_error(capsys, tmp_path, case):
+    space = {"field": {"prime": 10007}, "dim": 2,
+             "braiding": {"diagonal": QP_DIAGONAL}}
+    space.update(MALFORMED_SPACES[case])
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(space))
+    obj = run_error(capsys, ["bracket", "12", "--space", str(path)])
+    assert obj["kind"] == "domain"
+    obj = run_error(capsys, ["nichols", "dims", "--space", str(path),
+                             "--trunc", "3"])
+    assert obj["kind"] == "domain"
+
+
+MALFORMED_ELEMENTS = {
+    "numeric-coeff": {"terms": [{"word": "12", "coeff": 1}]},
+    "numeric-word": {"terms": [{"word": 12, "coeff": "1"}]},
+    "terms-object": {"terms": {"word": "12", "coeff": "1"}},
+    "terms-strings": {"terms": ["12"]},
+    "element-list": [{"word": "12", "coeff": "1"}],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_ELEMENTS))
+def test_malformed_element_json_is_domain_error(capsys, tmp_path, case):
+    elem = tmp_path / "elem.json"
+    elem.write_text(json.dumps(MALFORMED_ELEMENTS[case]))
+    obj = run_error(capsys, ["expand", str(elem),
+                             "--space", "preset:quantum-plane"])
+    assert obj["kind"] == "domain"
+    rels = tmp_path / "rels.json"
+    rels.write_text(json.dumps({"relations": [MALFORMED_ELEMENTS[case]]}))
+    obj = run_error(capsys, ["nichols", "dims", "--kind", "presented",
+                             "--relations", str(rels),
+                             "--space", "preset:quantum-plane", "--trunc", "3"])
+    assert obj["kind"] == "domain"
+
+
+def test_malformed_relations_json_is_domain_error(capsys, tmp_path):
+    rels = tmp_path / "rels.json"
+    rels.write_text(json.dumps({"relations": 5}))
+    obj = run_error(capsys, ["nichols", "dims", "--kind", "presented",
+                             "--relations", str(rels),
+                             "--space", "preset:quantum-plane", "--trunc", "3"])
+    assert obj["kind"] == "domain"
+
+
 def test_resource_error(capsys, monkeypatch):
     monkeypatch.setenv("LH_MAX_MATRIX", "10")
     obj = run_error(capsys, ["nichols", "dims", "--space",

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from lynhopf import words
+from lynhopf import linalg, words
 from lynhopf.freealg import (BraidedSpace, TensorSquareElement, antipode,
                              braid_apply, bracket, bracket_element,
                              bracket_word, build_space, coproduct, counit,
@@ -69,6 +69,64 @@ def test_space_inverts_general_braiding_once(field, monkeypatch):
         for cd, v in image.items():
             field.axpy(back, sp._cmap_inv[cd], v)
         assert back == {ab: field.one}
+
+
+def oracle_invert_cmap(field, dim, cmap):
+    """The old inverse: rref of the augmented rows [C | I]."""
+    rows = []
+    pairs = [(a, b) for a in range(1, dim + 1) for b in range(1, dim + 1)]
+    for rk in pairs:
+        row = {(1, rk): field.one}
+        for ck in pairs:
+            v = cmap[ck].get(rk)
+            if v is not None and v != field.zero:
+                row[(0, ck)] = v
+        rows.append(row)
+    pivots = linalg.rref(field, rows)
+    if sorted(pivots) != [(0, pk) for pk in pairs]:
+        return None
+    inv = {pk: {} for pk in pairs}
+    for rk in pairs:
+        for key, v in pivots[(0, rk)].items():
+            if key[0] == 1:
+                inv[key[1]][rk] = v
+    return inv
+
+
+@pytest.mark.parametrize("fld", [PrimeField(10007), PrimeField(3),
+                                 RationalField()],
+                         ids=["p10007", "p3", "rationals"])
+def test_invert_cmap_matches_augmented_oracle(fld):
+    from lynhopf.freealg import _general_cmap, _invert_cmap, _s3_rack_matrix
+    rng = random.Random(41)
+    singular = invertible = 0
+    for trial in range(80):
+        dim = rng.choice((1, 2, 3))
+        size = dim * dim
+        density = rng.choice((0.2, 0.5, 0.9))
+        dense = [[fld.from_int(rng.randrange(-4, 5))
+                  if rng.random() < density else fld.zero
+                  for _ in range(size)] for _ in range(size)]
+        if trial % 4 == 0 and size > 1:
+            # a repeated column makes the matrix singular
+            for row in dense:
+                row[size - 1] = row[0]
+        cmap = _general_cmap(fld, dim, dense)
+        inv = _invert_cmap(fld, dim, cmap)
+        assert inv == oracle_invert_cmap(fld, dim, cmap)
+        if inv is None:
+            singular += 1
+            continue
+        invertible += 1
+        for ab, image in cmap.items():
+            back = {}
+            for cd, v in image.items():
+                fld.axpy(back, inv[cd], v)
+            assert back == {ab: fld.one}
+    assert singular >= 10 and invertible >= 10
+    for matrix in (_s3_rack_matrix(fld), swap_block_matrix(fld)):
+        cmap = _general_cmap(fld, 3, matrix)
+        assert _invert_cmap(fld, 3, cmap) == oracle_invert_cmap(fld, 3, cmap)
 
 
 # ------------------------------------------------------------------ braiding

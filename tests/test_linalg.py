@@ -1,10 +1,80 @@
-"""Sparse elimination checked against dense Gaussian elimination on Fractions."""
+"""Sparse elimination checked against dense Gaussian elimination on Fractions
+and against the two-pass elimination it replaced."""
 
 import random
 from fractions import Fraction
 
+import pytest
+
+from lynhopf.freealg import space_from_preset
 from lynhopf.linalg import Eliminator, kernel, reduce_mod, rref
+from lynhopf.nichols import symmetrizer
 from lynhopf.scalars import PrimeField, RationalField
+
+from conftest import random_diagonal
+
+FIELDS = (PrimeField(10007), PrimeField(3), RationalField())
+
+
+# ---------------------------------------------------- the replaced (oracle) paths
+
+def oracle_rref(field, rows) -> dict:
+    """rref with the old back-substitution over all pairs of pivots."""
+    elim = Eliminator(field)
+    for r in rows:
+        elim.insert(dict(r))
+    pivots = elim.pivots
+    for lead in sorted(pivots, reverse=True):
+        row = pivots[lead]
+        for other_lead, other_row in pivots.items():
+            if other_lead >= lead:
+                continue
+            factor = other_row.get(lead)
+            if factor is not None:
+                field.axpy(other_row, row, -factor)
+    return pivots
+
+
+def oracle_kernel_list(field, columns: dict) -> list:
+    """The old kernel: one unreduced vector per free column of an ascending rref."""
+    rows: dict = {}
+    for ck in sorted(columns):
+        for rk, v in columns[ck].items():
+            if v != field.zero:
+                rows.setdefault(rk, {})[ck] = v
+    pivot_map = oracle_rref(field, (rows[rk] for rk in sorted(rows)))
+    out = []
+    for ck in sorted(columns):
+        if ck in pivot_map:
+            continue
+        vec = {ck: field.one}
+        for lead, row in pivot_map.items():
+            val = row.get(ck)
+            if val is not None and val != field.zero:
+                vec[lead] = field.neg(val)
+        out.append(vec)
+    return out
+
+
+def oracle_kernel(field, columns: dict) -> dict:
+    """The old two-pass kernel: rref of the old kernel list."""
+    return oracle_rref(field, oracle_kernel_list(field, columns))
+
+
+def random_columns(rng, field, nrows, ncols, density=0.4):
+    """Sparse columns of a random matrix; some rows and columns stay empty."""
+    dense = random_sparse_rows(rng, nrows, ncols, density)
+    return {j: {i: field.from_int(dense[i][j]) for i in range(nrows)
+                if field.from_int(dense[i][j]) != field.zero}
+            for j in range(ncols)}
+
+
+def assert_reduced_kernel(field, basis: dict):
+    """Each key is its vector's least key, with coefficient 1, and no other
+    vector mentions it."""
+    for key, vec in basis.items():
+        assert min(vec) == key and vec[key] == field.one
+        assert all(key not in other for k, other in basis.items() if k != key)
 
 
 def dense_rank(rows, ncols):
@@ -122,7 +192,7 @@ def test_kernel_annihilates_columns():
             basis = kernel(field, columns)
             # rank-nullity
             assert len(basis) == ncols - dense_rank(dense, ncols)
-            for vec in basis:
+            for vec in basis.values():
                 out: dict = {}
                 for ck, coeff in vec.items():
                     for rk, v in columns[ck].items():
@@ -139,5 +209,62 @@ def test_kernel_basis_is_independent():
                    if f.from_int(dense[i][j]) != f.zero} for j in range(6)}
     basis = kernel(f, columns)
     elim = Eliminator(f)
-    for vec in basis:
+    for vec in basis.values():
         assert elim.insert(dict(vec))
+
+
+# ------------------------------------------------ one pass against the old paths
+
+@pytest.mark.parametrize("field", FIELDS, ids=("p10007", "p3", "rationals"))
+def test_rref_matches_pairwise_back_substitution(field):
+    rng = random.Random(29)
+    for _ in range(60):
+        nrows, ncols = rng.randrange(1, 12), rng.randrange(1, 12)
+        rows = [as_sparse(field, r) for r in random_sparse_rows(
+            rng, nrows, ncols, density=rng.choice((0.2, 0.5, 0.8)))]
+        assert rref(field, rows) == oracle_rref(field, rows)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=("p10007", "p3", "rationals"))
+def test_kernel_matches_two_pass_oracle(field):
+    rng = random.Random(31)
+    for _ in range(60):
+        nrows, ncols = rng.randrange(1, 12), rng.randrange(1, 12)
+        columns = random_columns(rng, field, nrows, ncols,
+                                 density=rng.choice((0.2, 0.5, 0.8)))
+        basis = kernel(field, columns)
+        assert basis == oracle_kernel(field, columns)
+        assert_reduced_kernel(field, basis)
+
+
+def test_kernel_of_zero_and_injective_maps():
+    f = PrimeField(10007)
+    zero = {j: {} for j in range(4)}
+    assert kernel(f, zero) == {j: {j: f.one} for j in range(4)}
+    identity = {j: {j: f.from_int(j + 2)} for j in range(4)}
+    assert kernel(f, identity) == {}
+
+
+SYMMETRIZER_CASES = ("cartan-A2", "s3-rack", "random-p10007", "random-p7",
+                     "random-p3")
+
+
+def symmetrizer_case(name):
+    """(space, top degree) of one symmetrizer case.  Random q entries over
+    F_7 and F_3 are roots of unity, so those kernels are not zero."""
+    if name in ("cartan-A2", "s3-rack"):
+        return space_from_preset(name), 7 if name == "cartan-A2" else 6
+    rng = random.Random(name)
+    field = PrimeField(int(name[len("random-p"):]))
+    return random_diagonal(field, rng.choice((2, 3)), rng), 5
+
+
+@pytest.mark.parametrize("name", SYMMETRIZER_CASES)
+def test_kernel_matches_two_pass_oracle_on_symmetrizers(name):
+    space, top = symmetrizer_case(name)
+    field = space.field
+    for n in range(2, top + 1):
+        cols = symmetrizer(space, n)
+        basis = kernel(field, cols)
+        assert basis == oracle_kernel(field, cols), n
+        assert_reduced_kernel(field, basis)

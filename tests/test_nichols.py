@@ -10,10 +10,9 @@ from lynhopf.freealg import (BraidedSpace, _bracket_value, _bracket_word_value,
                              space_from_preset)
 from lynhopf.linalg import Eliminator
 from lynhopf.nichols import (BadPrimeError, GradedQuotient, MatrixCapExceeded,
-                             PBWGenerator, hilbert_series,
-                             nonneg_quotient_check, pbw_data, pbw_series,
-                             run_guarded, subquotient_series, symmetrizer,
-                             verify_factorization)
+                             PBWGenerator, nonneg_quotient_check, pbw_data,
+                             pbw_series, run_guarded, subquotient_series,
+                             symmetrizer, verify_factorization)
 from lynhopf.scalars import PrimeField, RationalField
 from lynhopf.series import PowerSeries
 
@@ -236,6 +235,22 @@ def test_rack_dims_two_primes(rack_nichols):
     assert other.hilbert_series() == rack_nichols.hilbert_series()
 
 
+def test_nichols_degree_is_one_elimination(monkeypatch):
+    from lynhopf import linalg, nichols
+    calls = []
+    rref = linalg.rref
+
+    def counting(field, rows):
+        calls.append(field)
+        return rref(field, rows)
+
+    monkeypatch.setattr(linalg, "rref", counting)
+    monkeypatch.setattr(nichols, "rref", counting)
+    R = GradedQuotient(space_from_preset("cartan-A2"), "nichols", 6)
+    assert R.hilbert_series().coeffs == (1, 2, 4, 6, 9, 12, 16)
+    assert len(calls) == 5  # degrees 2..6, one rref each
+
+
 def test_presented_matches_nichols_for_quantum_plane(qp_nichols):
     sp = qp_nichols.space
     f = sp.field
@@ -254,7 +269,7 @@ def test_presented_rejects_non_coideal():
 
 
 def test_hilbert_series_function(qp_nichols):
-    assert hilbert_series(qp_nichols, 3).coeffs == (1, 2, 1, 0)
+    assert qp_nichols.hilbert_series(3).coeffs == (1, 2, 1, 0)
 
 
 # ----------------------------------------------------------------- PBW data
