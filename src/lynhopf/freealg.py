@@ -150,7 +150,7 @@ def _general_cmap(field, dim, matrix):
 class BraidedSpace:
     """A finite-dimensional braided vector space with cached bracket data."""
 
-    def __init__(self, field, dim: int, kind: str, data, source=None):
+    def __init__(self, field, dim: int, kind: str, data):
         report, self._cmap, self._cmap_inv = _validated_braiding(
             field, dim, kind, data)
         if not report.ok:
@@ -158,7 +158,6 @@ class BraidedSpace:
         self.field = field
         self.dim = dim
         self.kind = kind
-        self.source = source
         self.q = tuple(tuple(r) for r in data) if kind == "diagonal" else None
         self._cache: dict = {}
 
@@ -667,7 +666,7 @@ def space_from_json(obj: dict, prime=None) -> BraidedSpace:
                     isinstance(row, list) for row in rows):
                 raise ValueError(f"{kind} braiding must be a list of rows")
             data = [[field.parse(v) for v in row] for row in rows]
-            return BraidedSpace(field, dim, kind, data, source=obj)
+            return BraidedSpace(field, dim, kind, data)
     raise ValueError("braiding must contain 'diagonal' or 'general'")
 
 
@@ -748,7 +747,6 @@ def space_from_preset(text: str, prime=None, trunc=None) -> BraidedSpace:
         for u in units:
             if u.numerator % field.p == 0 or u.denominator % field.p == 0:
                 raise ValueError(f"preset value {u} is not a unit mod {field.p}")
-    source = text if prime is None else _with_param(text, "prime", prime)
 
     def generic_q():
         if field.char == 0:
@@ -779,24 +777,16 @@ def space_from_preset(text: str, prime=None, trunc=None) -> BraidedSpace:
         if q == field.zero:
             raise ValueError("quantum-plane parameter q must be nonzero")
         data = [[q, field.one], [field.one, q]]
-        return BraidedSpace(field, 2, "diagonal", data, source=source)
+        return BraidedSpace(field, 2, "diagonal", data)
     if name == "cartan-A2":
         q = chosen_q()
         if q == field.zero:
             raise ValueError("cartan-A2 parameter q must be nonzero")
         data = [[q, field.inv(q)], [field.one, q]]
-        return BraidedSpace(field, 2, "diagonal", data, source=source)
+        return BraidedSpace(field, 2, "diagonal", data)
     if name == "s3-rack":
-        return BraidedSpace(field, 3, "general", _s3_rack_matrix(field),
-                            source=source)
+        return BraidedSpace(field, 3, "general", _s3_rack_matrix(field))
     raise AssertionError("unreachable")
-
-
-def _with_param(preset_text: str, key: str, value) -> str:
-    name, params = _parse_preset(preset_text)
-    params[key] = value
-    body = ",".join(f"{k}={v}" for k, v in params.items())
-    return f"{name}({body})"
 
 
 def build_space(source, prime=None, trunc=None) -> BraidedSpace:

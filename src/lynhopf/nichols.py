@@ -149,38 +149,42 @@ class GradedQuotient:
         elif self.kind == "nichols":
             pivots = kernel(field, symmetrizer(space, n, self.cap))
         else:
+            # I_n = V I_{n-1} + I_{n-1} V + Rel_n; the rref of a row space is
+            # unique, so the pivot map does not depend on the spanning rows
             _check_cap(space, n, self.cap)
-            rows = []
-            for r in self.relations:
-                k = r.degree()
-                if k > n:
-                    continue
-                for i in range(n - k + 1):
-                    for a in itertools.product(range(1, space.dim + 1), repeat=i):
-                        for b in itertools.product(range(1, space.dim + 1),
-                                                   repeat=n - k - i):
-                            rows.append({a + w + b: c for w, c in r.terms.items()})
+            rows = [r.terms for r in self.relations if r.degree() == n]
+            for row in self._ensure(n - 1).values():
+                for a in range(1, space.dim + 1):
+                    rows.append({(a,) + w: c for w, c in row.items()})
+                    rows.append({w + (a,): c for w, c in row.items()})
             pivots = rref(field, rows)
         self._pivots[n] = pivots
         return pivots
 
     def _check_coideal(self, n: int):
-        """Delta of each degree-n relation must lie in Rel ox TV + TV ox Rel."""
-        pivots = self._pivots[n]
-        if not pivots:
-            return
-        space = self.space
-        field = space.field
-        span = Eliminator(field)
-        for i in range(2, n + 1):
-            for row in self._ensure(i).values():
-                for b in itertools.product(range(1, space.dim + 1), repeat=n - i):
-                    span.insert({(w, b): c for w, c in row.items()})
-                for a in itertools.product(range(1, space.dim + 1), repeat=n - i):
-                    span.insert({(a, w): c for w, c in row.items()})
-        for lead in sorted(pivots):
-            delta = coproduct(TensorElement(space, dict(pivots[lead])))
-            if not span.contains(dict(delta.terms)):
+        """Delta of each degree-n relation must lie in Rel ox TV + TV ox Rel.
+
+        That sum is the kernel of pi ox pi, so both legs of every term are
+        projected onto the standard monomials and the image must vanish.
+        """
+        field = self.space.field
+        proj: dict = {}
+
+        def pi(w):
+            hit = proj.get(w)
+            if hit is None:
+                hit = proj[w] = self.project_terms({w: field.one}, len(w))
+            return hit
+
+        for row in self._pivots[n].values():
+            delta = coproduct(TensorElement(self.space, row))
+            image: dict = {}
+            for (u, v), c in delta.terms.items():
+                right = pi(v)
+                for pu, cu in pi(u).items():
+                    field.axpy(image, {(pu, pv): cv for pv, cv in right.items()},
+                               field.mul(c, cu))
+            if image:
                 raise ValueError(
                     f"relations do not generate a coideal at degree {n}")
 
@@ -299,10 +303,9 @@ def pbw_data(R: GradedQuotient, trunc: int | None = None) -> PBWData:
             if len(u) != n:
                 continue
             vec = R.project_terms(_block_bracket(R.space, u, u, "left").terms, n)
-            if not span.contains(dict(vec)):
+            if span.insert(vec):
                 G.append(u)
                 heights[u] = None
-                span.insert(vec)
     gens = tuple(PBWGenerator(u, heights[u]) for u in sorted(G))
     return PBWData(N, gens)
 

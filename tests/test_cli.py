@@ -158,6 +158,19 @@ def test_nichols_dims_presented(capsys, tmp_path):
     assert code == 0 and obj == {"coeffs": [1, 2, 1, 0, 0]}
 
 
+def test_nichols_dims_presented_non_coideal(capsys, tmp_path):
+    rels = tmp_path / "rels.json"
+    rels.write_text(json.dumps({"relations": [
+        {"terms": [{"word": "1212", "coeff": "1"},
+                   {"word": "2121", "coeff": "1"}]},
+    ]}))
+    obj = run_error(capsys, ["nichols", "dims", "--space",
+                             "preset:quantum-plane", "--trunc", "5",
+                             "--kind", "presented", "--relations", str(rels)])
+    assert obj == {"error": "relations do not generate a coideal at degree 4",
+                   "kind": "domain"}
+
+
 def test_nichols_pbw(capsys):
     code, obj = run_json(capsys, ["nichols", "pbw", "--space",
                                   "preset:quantum-plane", "--trunc", "4"])

@@ -6,9 +6,9 @@ import random
 import pytest
 
 from lynhopf import words
-from lynhopf.freealg import (BraidedSpace, _bracket_value, _bracket_word_value,
-                             space_from_preset)
-from lynhopf.linalg import Eliminator
+from lynhopf.freealg import (BraidedSpace, TensorElement, _bracket_value,
+                             _bracket_word_value, coproduct, space_from_preset)
+from lynhopf.linalg import Eliminator, rref
 from lynhopf.nichols import (BadPrimeError, GradedQuotient, MatrixCapExceeded,
                              PBWGenerator, nonneg_quotient_check, pbw_data,
                              pbw_series, run_guarded, subquotient_series,
@@ -16,7 +16,7 @@ from lynhopf.nichols import (BadPrimeError, GradedQuotient, MatrixCapExceeded,
 from lynhopf.scalars import PrimeField, RationalField
 from lynhopf.series import PowerSeries
 
-from conftest import random_diagonal, swap_block_matrix
+from conftest import all_words, random_diagonal, swap_block_matrix
 
 
 # ------------------------------------------------------------- oracle pieces
@@ -135,6 +135,41 @@ def oracle_pbw(R):
                 heights[u] = None
                 span.insert(vec)
     return tuple(PBWGenerator(u, heights[u]) for u in sorted(G))
+
+
+def oracle_presented_pivots(space, relations, n):
+    """Pivot map of I_n from every a.r.b with |a| + |r| + |b| = n."""
+    rows = []
+    for r in relations:
+        k = r.degree()
+        for i in range(n - k + 1):
+            for a in all_words(space.dim, i):
+                for b in all_words(space.dim, n - k - i):
+                    rows.append({a + w + b: c for w, c in r.terms.items()})
+    return rref(space.field, rows)
+
+
+def oracle_presented(space, relations, trunc):
+    """Pivot maps by degree, with the coideal checked against one span of
+    Rel ox TV + TV ox Rel per degree; raises like the constructor does."""
+    pivots = {0: {}, 1: {}}
+    for n in range(2, trunc + 1):
+        pivots[n] = oracle_presented_pivots(space, relations, n)
+        if not pivots[n]:
+            continue
+        span = Eliminator(space.field)
+        for i in range(2, n + 1):
+            for row in pivots[i].values():
+                for b in all_words(space.dim, n - i):
+                    span.insert({(w, b): c for w, c in row.items()})
+                for a in all_words(space.dim, n - i):
+                    span.insert({(a, w): c for w, c in row.items()})
+        for lead in sorted(pivots[n]):
+            delta = coproduct(TensorElement(space, dict(pivots[n][lead])))
+            if not span.contains(dict(delta.terms)):
+                raise ValueError(
+                    f"relations do not generate a coideal at degree {n}")
+    return pivots
 
 
 def random_root_diagonal(d, rng):
@@ -266,6 +301,109 @@ def test_presented_rejects_non_coideal():
     with pytest.raises(ValueError, match="degree 2"):
         GradedQuotient(sp, "presented", 3,
                        relations=(sp.element({(1, 2): sp.field.one}),))
+
+
+def random_presented(seed):
+    """Up to three Nichols relation rows of degree 2..4 of a sixth-root space,
+    about a third of them perturbed by one random word."""
+    rng = random.Random(seed)
+    d = rng.choice((2, 2, 3))
+    sp = random_root_diagonal(d, rng)
+    nichols = GradedQuotient(sp, "nichols", 4 if d == 2 else 3)
+    pool = [row for n in range(2, nichols.trunc + 1)
+            for row in nichols._ensure(n).values()]
+    rels = []
+    for row in rng.sample(pool, min(len(pool), rng.randint(1, 3))):
+        row = dict(row)
+        if rng.random() < 0.3:
+            w = tuple(rng.randint(1, d) for _ in range(len(min(row))))
+            row[w] = (row.get(w, 0) + rng.randint(1, 10)) % sp.field.p
+            row = {k: v for k, v in row.items() if v}
+        if row:
+            rels.append(TensorElement(sp, row))
+    return sp, rels, 7 if d == 2 else 5
+
+
+def outcome(build):
+    try:
+        return build(), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+def test_presented_matches_product_walk_and_span_oracles():
+    seen = {}
+    for seed in range(60):
+        sp, rels, trunc = random_presented(seed)
+        R, err = outcome(lambda: GradedQuotient(sp, "presented", trunc,
+                                                relations=rels))
+        expected, oracle_err = outcome(lambda: oracle_presented(sp, rels, trunc))
+        assert err == oracle_err, seed
+        seen[err] = seen.get(err, 0) + 1
+        if err is not None:
+            # the degrees below the failing one still build, and agree
+            trunc = int(err.rsplit(" ", 1)[1]) - 1
+            R = GradedQuotient(sp, "presented", trunc, relations=rels)
+            expected = oracle_presented(sp, rels, trunc)
+        for n in range(trunc + 1):
+            assert R._ensure(n) == expected[n], (seed, n)
+    # the seeds cover coideals and failures at degrees 2, 3 and 4
+    assert set(seen) == {None} | {
+        f"relations do not generate a coideal at degree {n}" for n in (2, 3, 4)}
+    assert min(seen.values()) >= 3
+
+
+@pytest.mark.parametrize("preset", ["quantum-plane", "quantum-plane(rationals=1)"])
+@pytest.mark.parametrize("terms,degree", [
+    ({(1, 1, 1): 1}, 3),
+    ({(1, 1, 2): 1}, 3),
+    ({(1, 2, 1, 2): 1, (2, 1, 2, 1): 1}, 4),
+], ids=["x1^3", "x1x1x2", "x1x2x1x2+x2x1x2x1"])
+def test_presented_rejects_non_coideal_at_higher_degree(preset, terms, degree):
+    sp = space_from_preset(preset)
+    rels = (sp.element({w: sp.field.from_int(c) for w, c in terms.items()}),)
+    message = f"relations do not generate a coideal at degree {degree}"
+    with pytest.raises(ValueError) as exc:
+        GradedQuotient(sp, "presented", degree + 1, relations=rels)
+    assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:
+        oracle_presented(sp, rels, degree + 1)
+    assert str(exc.value) == message
+    R = GradedQuotient(sp, "presented", degree - 1, relations=rels)
+    assert R.hilbert_series().coeffs == tuple(2 ** n for n in range(degree))
+
+
+def test_presented_cap_raises_in_constructor():
+    sp = space_from_preset("quantum-plane")
+    rels = (sp.element({(1, 1): sp.field.one}),)  # primitive, since q11 = -1
+    with pytest.raises(MatrixCapExceeded, match="128"):
+        GradedQuotient(sp, "presented", 8, relations=rels, cap=100)
+
+
+def test_presented_degree_is_one_elimination(monkeypatch):
+    from lynhopf import linalg, nichols
+    rref_calls, spans = [], []
+    counted_rref = linalg.rref
+
+    def counting(field, rows):
+        rref_calls.append(field)
+        return counted_rref(field, rows)
+
+    class CountingEliminator(Eliminator):
+        def __init__(self, field):
+            spans.append(field)
+            super().__init__(field)
+
+    monkeypatch.setattr(linalg, "rref", counting)
+    monkeypatch.setattr(nichols, "rref", counting)
+    monkeypatch.setattr(nichols, "Eliminator", CountingEliminator)
+    sp = space_from_preset("quantum-plane(q=3)")
+    f = sp.field
+    rel = sp.element({(1, 2): f.one, (2, 1): f.neg(f.one)})
+    R = GradedQuotient(sp, "presented", 6, relations=(rel,))
+    assert R.hilbert_series().coeffs == (1, 2, 3, 4, 5, 6, 7)
+    assert len(rref_calls) == 5  # degrees 2..6, one rref each
+    assert spans == []
 
 
 def test_hilbert_series_function(qp_nichols):
