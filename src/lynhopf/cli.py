@@ -35,16 +35,17 @@ def _read_json(path: str):
     return json.loads(text)
 
 
-def _load_space(arg: str, prime):
+def _space_source(arg: str):
+    """The preset text after 'preset:', else the JSON object read from arg."""
     if arg.startswith("preset:"):
-        return freealg.build_space(arg[len("preset:"):], prime=prime)
-    return freealg.space_from_json(_read_json(arg), prime=prime)
+        return arg[len("preset:"):]
+    obj = _read_json(arg)
+    if not isinstance(obj, dict):
+        raise ValueError("space description must be a JSON object")
+    return obj
 
 
-def _load_relations(space, path):
-    if path is None:
-        return ()
-    obj = _read_json(path)
+def _relations(space, obj):
     items = obj["relations"] if isinstance(obj, dict) else obj
     if not isinstance(items, list):
         raise ValueError("relations must be a list of elements")
@@ -89,7 +90,7 @@ def _cmd_lyndon_shirshov(args) -> int:
 # ---------------------------------------------------------------- bracket / expand
 
 def _cmd_bracket(args) -> int:
-    space = _load_space(args.space, args.prime)
+    space = freealg.build_space(_space_source(args.space), prime=args.prime)
     w = words.parse_word(args.word)
     flavor = "double" if args.double else "left"
     val = bracket_element(space, w, flavor)
@@ -100,7 +101,7 @@ def _cmd_bracket(args) -> int:
 
 
 def _cmd_expand(args) -> int:
-    space = _load_space(args.space, args.prime)
+    space = freealg.build_space(_space_source(args.space), prime=args.prime)
     x = TensorElement.from_json(space, _read_json(args.element))
     coords = expand_monotonic_basis(x)
     fmt = space.field.format
@@ -128,24 +129,16 @@ def _cmd_tv_identity(args) -> int:
 
 # ---------------------------------------------------------------- nichols
 
-def _quotient_builder(args, source):
-    kind = getattr(args, "kind", "nichols")
-    relations_path = getattr(args, "relations", None)
-
-    def build(space):
-        rels = _load_relations(space, relations_path)
-        return GradedQuotient(space, kind, args.trunc, relations=rels)
-
-    return build
-
-
 def _run_nichols(args, compute):
     """Evaluate compute(quotient) under the two-prime guard."""
-    if args.space.startswith("preset:"):
-        source = args.space[len("preset:"):]
-    else:
-        source = _read_json(args.space)
-    build = _quotient_builder(args, source)
+    source = _space_source(args.space)
+    path = args.relations
+    obj = None if path is None else _read_json(path)
+
+    def build(space):
+        rels = () if path is None else _relations(space, obj)
+        return GradedQuotient(space, args.kind, args.trunc, relations=rels)
+
     return run_guarded(source, args.trunc,
                        lambda space: compute(build(space)),
                        prime=args.prime, second_prime=args.second_prime)

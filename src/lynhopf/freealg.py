@@ -10,6 +10,7 @@ coproduct and the braided antipode.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,8 +19,6 @@ from .scalars import (PrimeField, RationalField, field_from_json,
                       next_prime_with, primitive_root)
 
 DEFAULT_PRIME = 10007
-
-PRESET_NAMES = ("quantum-plane", "cartan-A2", "s3-rack")
 
 
 @dataclass(frozen=True)
@@ -119,11 +118,14 @@ def _validated_braiding(field, dim: int, kind: str, data):
         inv = _invert_cmap(field, dim, cmap)
         if inv is None:
             return fail("braiding matrix is singular")
+        # Only general braidings need the check: diagonal ones satisfy the
+        # braid equation identically, both sides sending x_a ox x_b ox x_c
+        # to q_ab q_ac q_bc x_c ox x_b ox x_a.
+        bad = _check_braid_equation(field, dim, cmap)
+        if bad is not None:
+            return fail(f"braid equation fails on basis triple {bad}", bad)
     else:
         return fail(f"unknown braiding kind {kind!r}")
-    bad = _check_braid_equation(field, dim, cmap)
-    if bad is not None:
-        return fail(f"braid equation fails on basis triple {bad}", bad)
     return BraidingReport(True, "ok"), cmap, inv
 
 
@@ -634,6 +636,21 @@ def antipode(x: TensorElement) -> TensorElement:
     return TensorElement(space, out)
 
 
+def _check_field(field, orders, units=()) -> None:
+    """Raise unless the field has a root of unity of each order and each
+    unit literal is invertible in it."""
+    for m in orders:
+        if field.char == 0:
+            if m not in (1, 2):
+                raise ValueError(f"no rational root of unity of order {m}")
+        elif (field.p - 1) % m != 0:
+            raise ValueError(f"F_{field.p} has no element of order {m}")
+    for u in units:
+        if field.char and (u.numerator % field.p == 0
+                           or u.denominator % field.p == 0):
+            raise ValueError(f"preset value {u} is not a unit mod {field.p}")
+
+
 def space_from_json(obj: dict, prime=None) -> BraidedSpace:
     """Build a space from its JSON description, optionally forcing a prime."""
     if not isinstance(obj, dict):
@@ -651,12 +668,7 @@ def space_from_json(obj: dict, prime=None) -> BraidedSpace:
             type(m) is not int or m < 1 for m in orders):
         raise ValueError(
             f"root_orders must be a list of positive integers, got {orders!r}")
-    for m in orders:
-        if field.char == 0:
-            if m > 2:
-                raise ValueError(f"no rational root of unity of order {m}")
-        elif (field.p - 1) % m != 0:
-            raise ValueError(f"F_{field.p} has no element of order {m}")
+    _check_field(field, orders)
     if not isinstance(braiding, dict):
         raise ValueError("braiding must be a JSON object")
     for kind in ("diagonal", "general"):
@@ -689,22 +701,6 @@ def _parse_preset(text: str):
     return text, {}
 
 
-def _preset_requirements(name: str, params: dict):
-    """(order divisors, unit literals) a prime must accommodate."""
-    if name == "quantum-plane":
-        q = params.get("q", "-1")
-        return (), (Fraction(q),)
-    if name == "cartan-A2":
-        if "order" in params:
-            return (int(params["order"]),), ()
-        if "q" in params:
-            return (), (Fraction(params["q"]),)
-        return (), ()
-    if name == "s3-rack":
-        return (), ()
-    raise ValueError(f"unknown preset {name!r}; known: {', '.join(PRESET_NAMES)}")
-
-
 def _s3_rack_matrix(field):
     # conjugation action of the transpositions of S_3, constant cocycle -1
     phi = {1: {1: 1, 2: 3, 3: 2}, 2: {1: 3, 2: 2, 3: 1}, 3: {1: 2, 2: 1, 3: 3}}
@@ -718,21 +714,56 @@ def _s3_rack_matrix(field):
     return dense
 
 
-def space_from_preset(text: str, prime=None, trunc=None) -> BraidedSpace:
-    """Instantiate a named preset, picking a compatible prime when needed.
+# A preset: its dimension and braiding kind, the parameters it takes besides
+# prime= and rationals=, its default q (a literal, or None for a generic q)
+# and a builder (field, q) -> braiding data.
+_Preset = namedtuple("_Preset", "dim kind params default_q build")
+_PRESETS = {
+    # q11 = q22 = q, q12 = q21 = 1
+    "quantum-plane": _Preset(2, "diagonal", ("q", "order"), "-1",
+                             lambda f, q: [[q, f.one], [f.one, q]]),
+    # q11 = q22 = q, q12 = 1/q, q21 = 1
+    "cartan-A2": _Preset(2, "diagonal", ("q", "order"), None,
+                         lambda f, q: [[q, f.inv(q)], [f.one, q]]),
+    "s3-rack": _Preset(3, "general", (), None, lambda f, q: _s3_rack_matrix(f)),
+}
+PRESET_NAMES = tuple(_PRESETS)
 
-    quantum-plane(q=...): d = 2 diagonal with q11 = q22 = q, q12 = q21 = 1;
-        q defaults to -1.
-    cartan-A2: d = 2 diagonal with q11 = q22 = q, q12 = 1/q, q21 = 1.
-        Parameters: q=<rational>, order=<m> (q a root of unity of order m),
-        or neither for a generic q (a primitive root mod p, or 2 over the
-        rationals).
-    s3-rack: d = 3 general braiding from the transposition conjugacy class
-        of S_3 with constant cocycle -1.
-    Extra parameters: prime=<p>, rationals=1 to pick the field explicitly.
+
+def _preset_requirements(name: str, params: dict):
+    """(order divisors, unit literals) a prime must accommodate; they also
+    fix q.  The one reader of a preset's parameters: it rejects those the
+    preset does not take, and q= together with order=."""
+    preset = _PRESETS.get(name)
+    if preset is None:
+        raise ValueError(f"unknown preset {name!r}; known: {', '.join(PRESET_NAMES)}")
+    known = preset.params + ("prime", "rationals")
+    for key in params:
+        if key not in known:
+            raise ValueError(f"preset {name!r} takes no parameter {key!r}; "
+                             f"known: {', '.join(known)}")
+    if "order" in params:
+        if "q" in params:
+            raise ValueError(f"preset {name!r} takes q= or order=, not both")
+        return (int(params["order"]),), ()
+    q = params.get("q", preset.default_q)
+    return (), (() if q is None else (Fraction(q),))
+
+
+def space_from_preset(text: str, prime=None, trunc=None) -> BraidedSpace:
+    """Instantiate a named preset of `_PRESETS`, picking a compatible prime
+    when needed.
+
+    quantum-plane and cartan-A2 take q=<rational> or order=<m> (q a root of
+    unity of order m), not both; quantum-plane's q defaults to -1 and
+    cartan-A2's to a generic value: a primitive root mod p of order above
+    2 * trunc, or 2 over the rationals.  s3-rack (d = 3) takes no q.  Every
+    preset takes prime=<p> (the `prime` argument wins) or rationals=1; any
+    other parameter is an error.
     """
     name, params = _parse_preset(text)
     orders, units = _preset_requirements(name, params)
+    preset = _PRESETS[name]
     if params.get("rationals"):
         field = RationalField()
     else:
@@ -741,52 +772,26 @@ def space_from_preset(text: str, prime=None, trunc=None) -> BraidedSpace:
         if prime is None:
             prime = next_prime_with(DEFAULT_PRIME, orders, units)
         field = PrimeField(prime)
-        for m in orders:
-            if (field.p - 1) % m != 0:
-                raise ValueError(f"F_{field.p} has no element of order {m}")
-        for u in units:
-            if u.numerator % field.p == 0 or u.denominator % field.p == 0:
-                raise ValueError(f"preset value {u} is not a unit mod {field.p}")
-
-    def generic_q():
-        if field.char == 0:
-            return Fraction(2)
-        g = primitive_root(field.p)
+    _check_field(field, orders, units)
+    q = None
+    if orders:
+        # over the rationals the check above leaves the orders 1 and 2
+        m = orders[0]
+        q = (field.element_of_order(m) if field.char
+             else field.one if m == 1 else field.neg(field.one))
+    elif units:
+        q = field.parse(str(units[0]))
+    elif preset.params and field.char == 0:  # a generic q
+        q = field.from_int(2)
+    elif preset.params:
         if trunc is not None and field.p - 1 <= 2 * trunc:
             raise ValueError(
                 f"generic parameter needs order > {2 * trunc}, "
                 f"but F_{field.p}^* has order {field.p - 1}")
-        return g
-
-    def chosen_q():
-        if "q" in params:
-            return field.parse(params["q"])
-        if "order" in params:
-            m = int(params["order"])
-            if field.char == 0:
-                if m == 1:
-                    return field.one
-                if m == 2:
-                    return field.neg(field.one)
-                raise ValueError(f"no rational root of unity of order {m}")
-            return field.element_of_order(m)
-        return field.from_int(generic_q()) if field.char else generic_q()
-
-    if name == "quantum-plane":
-        q = chosen_q() if ("q" in params or "order" in params) else field.neg(field.one)
-        if q == field.zero:
-            raise ValueError("quantum-plane parameter q must be nonzero")
-        data = [[q, field.one], [field.one, q]]
-        return BraidedSpace(field, 2, "diagonal", data)
-    if name == "cartan-A2":
-        q = chosen_q()
-        if q == field.zero:
-            raise ValueError("cartan-A2 parameter q must be nonzero")
-        data = [[q, field.inv(q)], [field.one, q]]
-        return BraidedSpace(field, 2, "diagonal", data)
-    if name == "s3-rack":
-        return BraidedSpace(field, 3, "general", _s3_rack_matrix(field))
-    raise AssertionError("unreachable")
+        q = primitive_root(field.p)
+    if q == field.zero:
+        raise ValueError(f"{name} parameter q must be nonzero")
+    return BraidedSpace(field, preset.dim, preset.kind, preset.build(field, q))
 
 
 def build_space(source, prime=None, trunc=None) -> BraidedSpace:
@@ -799,9 +804,7 @@ def build_space(source, prime=None, trunc=None) -> BraidedSpace:
 def source_requirements(source):
     """(order divisors, unit literals) of a space source, for prime searches."""
     if isinstance(source, str):
-        name, params = _parse_preset(source)
-        orders, units = _preset_requirements(name, params)
-        return tuple(orders), tuple(units)
+        return _preset_requirements(*_parse_preset(source))
     orders = tuple(source.get("root_orders", ()))
     braiding = source.get("braiding", {})
     rows = braiding.get("diagonal") or braiding.get("general") or []

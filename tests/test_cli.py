@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from lynhopf import cli
+from lynhopf import cli, nichols
 from lynhopf.nichols import BadPrimeError, FactorizationReport
 from lynhopf.scalars import PrimeField, primitive_root
 from lynhopf.series import PowerSeries
@@ -155,6 +155,21 @@ def test_nichols_dims_presented(capsys, tmp_path):
                                   "preset:quantum-plane", "--trunc", "4",
                                   "--kind", "presented",
                                   "--relations", str(rels)])
+    assert code == 0 and obj == {"coeffs": [1, 2, 1, 0, 0]}
+
+
+def test_nichols_dims_presented_relations_from_stdin(capsys, monkeypatch):
+    """The relations are read once, though the guard builds two quotients."""
+    rels = json.dumps({"relations": [
+        {"terms": [{"word": "11", "coeff": "1"}]},
+        {"terms": [{"word": "22", "coeff": "1"}]},
+        {"terms": [{"word": "12", "coeff": "1"},
+                   {"word": "21", "coeff": "-1"}]},
+    ]})
+    monkeypatch.setattr("sys.stdin", io.StringIO(rels))
+    code, obj = run_json(capsys, ["nichols", "dims", "--space",
+                                  "preset:quantum-plane", "--trunc", "4",
+                                  "--kind", "presented", "--relations", "-"])
     assert code == 0 and obj == {"coeffs": [1, 2, 1, 0, 0]}
 
 
@@ -329,6 +344,40 @@ def test_malformed_relations_json_is_domain_error(capsys, tmp_path):
                              "--relations", str(rels),
                              "--space", "preset:quantum-plane", "--trunc", "3"])
     assert obj["kind"] == "domain"
+
+
+def test_quantum_plane_order_under_the_guard(capsys, monkeypatch):
+    """order= on quantum-plane makes both guard primes 1 mod 3."""
+    primes = []
+    build = nichols.build_space
+
+    def recording(source, prime=None, trunc=None):
+        space = build(source, prime=prime, trunc=trunc)
+        primes.append(space.field.p)
+        return space
+
+    monkeypatch.setattr(nichols, "build_space", recording)
+    code, obj = run_json(capsys, ["nichols", "dims", "--space",
+                                  "preset:quantum-plane(order=3)", "--trunc", "6"])
+    assert code == 0 and obj == {"coeffs": [1, 2, 3, 2, 1, 0, 0]}
+    assert len(set(primes)) == 2 and all(p % 3 == 1 for p in primes)
+
+
+@pytest.mark.parametrize("text", ["cartan-A2(order=3,q=2)", "cartan-A2(oder=3)",
+                                  "s3-rack(q=3)"])
+def test_preset_parameter_errors(capsys, text):
+    for argv in (["bracket", "12"], ["nichols", "dims", "--trunc", "6"]):
+        obj = run_error(capsys, argv + ["--space", f"preset:{text}"])
+        assert obj["kind"] == "domain" and text.split("(")[0] in obj["error"]
+
+
+def test_space_json_string_is_not_a_preset(capsys, tmp_path):
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps("cartan-A2"))
+    want = {"error": "space description must be a JSON object", "kind": "domain"}
+    assert run_error(capsys, ["bracket", "12", "--space", str(path)]) == want
+    assert run_error(capsys, ["nichols", "dims", "--space", str(path),
+                              "--trunc", "3"]) == want
 
 
 def test_resource_error(capsys, monkeypatch):

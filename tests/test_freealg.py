@@ -1,17 +1,20 @@
 """Braided spaces, tensor elements, brackets, coproduct and antipode."""
 
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
-from lynhopf import linalg, words
-from lynhopf.freealg import (BraidedSpace, TensorSquareElement, antipode,
-                             braid_apply, bracket, bracket_element,
+from lynhopf import freealg, linalg, words
+from lynhopf.freealg import (PRESET_NAMES, BraidedSpace, TensorSquareElement,
+                             antipode, braid_apply, bracket, bracket_element,
                              bracket_word, build_space, coproduct, counit,
                              expand_monotonic_basis, leading_vector,
                              space_from_json, space_from_preset,
                              source_requirements, validate_braiding)
-from lynhopf.scalars import PrimeField, RationalField, primitive_root
+from lynhopf.scalars import (PrimeField, RationalField, next_prime_with,
+                             primitive_root)
 
 from conftest import random_diagonal, swap_block_matrix
 
@@ -51,8 +54,45 @@ def test_validate_general(field):
     assert not rep.ok and "singular" in rep.message
 
 
+def test_braid_equation_checked_only_for_general_braidings(field, monkeypatch):
+    calls = []
+    check = freealg._check_braid_equation
+
+    def counting(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(freealg, "_check_braid_equation", counting)
+    random_diagonal(field, 3, random.Random(5))
+    space_from_preset("quantum-plane")
+    space_from_preset("cartan-A2(order=3)")
+    assert validate_braiding(field, 2, "diagonal", [[1, 2], [3, 4]]).ok
+    assert calls == []
+    space_from_preset("s3-rack")
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("fld,order", [(PrimeField(10007), None),
+                                       (PrimeField(10009), 6),
+                                       (RationalField(), None)],
+                         ids=["p10007", "p10009-sixth-roots", "rationals"])
+def test_diagonal_braidings_satisfy_braid_equation(fld, order):
+    """Why the diagonal branch skips the check: it can never fail there."""
+    rng = random.Random(61)
+    if order is None:
+        entries = [fld.from_int(rng.choice((-3, -2, -1, 1, 2, 3, 7)))
+                   for _ in range(12)]
+    else:
+        zeta = fld.element_of_order(order)
+        entries = [pow(zeta, k, fld.p) for k in range(order)]
+    for _ in range(20):
+        dim = rng.choice((1, 2, 3))
+        q = [[rng.choice(entries) for _ in range(dim)] for _ in range(dim)]
+        cmap = freealg._diagonal_cmap(fld, dim, q)
+        assert freealg._check_braid_equation(fld, dim, cmap) is None
+
+
 def test_space_inverts_general_braiding_once(field, monkeypatch):
-    from lynhopf import freealg
     calls = []
     invert = freealg._invert_cmap
 
@@ -528,3 +568,154 @@ def test_build_space_dispatch(field):
     assert orders == (3,)
     orders, units = source_requirements(obj)
     assert units == (1,)
+
+
+def oracle_preset_requirements(name, params):
+    """The per-preset branches that the preset table replaced."""
+    if name == "quantum-plane":
+        q = params.get("q", "-1")
+        return (), (Fraction(q),)
+    if name == "cartan-A2":
+        if "order" in params:
+            return (int(params["order"]),), ()
+        if "q" in params:
+            return (), (Fraction(params["q"]),)
+        return (), ()
+    if name == "s3-rack":
+        return (), ()
+    raise ValueError(f"unknown preset {name!r}; known: {', '.join(PRESET_NAMES)}")
+
+
+def oracle_space_from_preset(text, prime=None, trunc=None):
+    """The per-preset space build that the preset table replaced."""
+    name, params = freealg._parse_preset(text)
+    orders, units = oracle_preset_requirements(name, params)
+    if params.get("rationals"):
+        field = RationalField()
+    else:
+        if prime is None and "prime" in params:
+            prime = int(params["prime"])
+        if prime is None:
+            prime = next_prime_with(freealg.DEFAULT_PRIME, orders, units)
+        field = PrimeField(prime)
+        for m in orders:
+            if (field.p - 1) % m != 0:
+                raise ValueError(f"F_{field.p} has no element of order {m}")
+        for u in units:
+            if u.numerator % field.p == 0 or u.denominator % field.p == 0:
+                raise ValueError(f"preset value {u} is not a unit mod {field.p}")
+
+    def generic_q():
+        if field.char == 0:
+            return Fraction(2)
+        g = primitive_root(field.p)
+        if trunc is not None and field.p - 1 <= 2 * trunc:
+            raise ValueError(
+                f"generic parameter needs order > {2 * trunc}, "
+                f"but F_{field.p}^* has order {field.p - 1}")
+        return g
+
+    def chosen_q():
+        if "q" in params:
+            return field.parse(params["q"])
+        if "order" in params:
+            m = int(params["order"])
+            if field.char == 0:
+                if m == 1:
+                    return field.one
+                if m == 2:
+                    return field.neg(field.one)
+                raise ValueError(f"no rational root of unity of order {m}")
+            return field.element_of_order(m)
+        return field.from_int(generic_q()) if field.char else generic_q()
+
+    if name == "quantum-plane":
+        q = chosen_q() if ("q" in params or "order" in params) else field.neg(field.one)
+        if q == field.zero:
+            raise ValueError("quantum-plane parameter q must be nonzero")
+        return BraidedSpace(field, 2, "diagonal", [[q, field.one], [field.one, q]])
+    if name == "cartan-A2":
+        q = chosen_q()
+        if q == field.zero:
+            raise ValueError("cartan-A2 parameter q must be nonzero")
+        return BraidedSpace(field, 2, "diagonal", [[q, field.inv(q)], [field.one, q]])
+    return BraidedSpace(field, 3, "general", freealg._s3_rack_matrix(field))
+
+
+def preset_texts():
+    """Every preset with q=, order=, prime= and rationals=1 in combination,
+    except the texts whose meaning the table changed on purpose (tested
+    below): order= on quantum-plane, and q= or order= on s3-rack."""
+    for name in PRESET_NAMES:
+        for q_or_order in ([], *([("q", v)] for v in ("2", "-1", "0", "1/3")),
+                           *([("order", v)] for v in ("2", "3", "5"))):
+            if q_or_order and (name == "s3-rack" or (
+                    name == "quantum-plane" and q_or_order[0][0] == "order")):
+                continue
+            for extra in itertools.product(([], [("prime", "13")],
+                                            [("prime", "10009")]),
+                                           ([], [("rationals", "1")])):
+                params = q_or_order + extra[0] + extra[1]
+                body = ",".join(f"{k}={v}" for k, v in params)
+                yield f"{name}({body})" if body else name
+
+
+def _outcome(build, text, prime, trunc):
+    try:
+        return build(text, prime=prime, trunc=trunc)
+    except (ValueError, ZeroDivisionError) as exc:
+        return exc
+
+
+def test_preset_table_matches_per_preset_oracle():
+    accepted = rejected = 0
+    for text in preset_texts():
+        name, params = freealg._parse_preset(text)
+        assert source_requirements(text) == oracle_preset_requirements(name, params)
+        for prime, trunc in itertools.product((None, 13, 10009), (None, 6, 6000)):
+            want = _outcome(oracle_space_from_preset, text, prime, trunc)
+            got = _outcome(space_from_preset, text, prime, trunc)
+            if isinstance(want, Exception):
+                assert (type(got), str(got)) == (type(want), str(want)), text
+                rejected += 1
+                continue
+            assert (got.field, got.dim, got.kind, got.to_json()) == (
+                want.field, want.dim, want.kind, want.to_json()), text
+            accepted += 1
+    assert accepted > 300 and rejected > 100
+
+
+def test_preset_names_come_from_the_table():
+    assert PRESET_NAMES == tuple(freealg._PRESETS)
+    assert PRESET_NAMES == ("quantum-plane", "cartan-A2", "s3-rack")
+
+
+def test_quantum_plane_order_picks_a_root_of_unity():
+    """order= used to pick a prime for q = -1 and then fail to find q."""
+    sp = space_from_preset("quantum-plane(order=3)")
+    assert sp.field.p == 10009
+    assert sp.field.multiplicative_order(sp.q[0][0]) == 3
+    assert source_requirements("quantum-plane(order=3)") == ((3,), ())
+    assert space_from_preset("quantum-plane(order=2,rationals=1)").q[0][0] == -1
+
+
+PRESET_PARAMETER_ERRORS = {
+    "cartan-A2(order=3,q=2)": "preset 'cartan-A2' takes q= or order=, not both",
+    "quantum-plane(q=2,order=2)":
+        "preset 'quantum-plane' takes q= or order=, not both",
+    "cartan-A2(oder=3)": "preset 'cartan-A2' takes no parameter 'oder'; "
+                         "known: q, order, prime, rationals",
+    "s3-rack(q=3)": "preset 's3-rack' takes no parameter 'q'; "
+                    "known: prime, rationals",
+    "s3-rack(order=3,prime=13)": "preset 's3-rack' takes no parameter "
+                                 "'order'; known: prime, rationals",
+}
+
+
+@pytest.mark.parametrize("text", sorted(PRESET_PARAMETER_ERRORS))
+def test_preset_rejects_unknown_and_conflicting_parameters(text):
+    """These texts were accepted with a parameter silently dropped."""
+    for read in (space_from_preset, source_requirements):
+        with pytest.raises(ValueError) as exc:
+            read(text)
+        assert str(exc.value) == PRESET_PARAMETER_ERRORS[text]
