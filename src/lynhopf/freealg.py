@@ -696,7 +696,11 @@ def _parse_preset(text: str):
                 if "=" not in piece:
                     raise ValueError(f"malformed preset parameter {piece!r}")
                 k, _, v = piece.partition("=")
-                params[k.strip()] = v.strip()
+                k = k.strip()
+                if k in params:
+                    raise ValueError(
+                        f"preset {name.strip()!r} repeats parameter {k!r}")
+                params[k] = v.strip()
         return name.strip(), params
     return text, {}
 
@@ -733,7 +737,8 @@ PRESET_NAMES = tuple(_PRESETS)
 def _preset_requirements(name: str, params: dict):
     """(order divisors, unit literals) a prime must accommodate; they also
     fix q.  The one reader of a preset's parameters: it rejects those the
-    preset does not take, and q= together with order=."""
+    preset does not take, rationals= other than 0 or 1, and q= together
+    with order=."""
     preset = _PRESETS.get(name)
     if preset is None:
         raise ValueError(f"unknown preset {name!r}; known: {', '.join(PRESET_NAMES)}")
@@ -742,6 +747,9 @@ def _preset_requirements(name: str, params: dict):
         if key not in known:
             raise ValueError(f"preset {name!r} takes no parameter {key!r}; "
                              f"known: {', '.join(known)}")
+    if params.get("rationals", "0") not in ("0", "1"):
+        raise ValueError(f"preset {name!r} takes rationals=0 or rationals=1, "
+                         f"not {params['rationals']!r}")
     if "order" in params:
         if "q" in params:
             raise ValueError(f"preset {name!r} takes q= or order=, not both")
@@ -758,13 +766,14 @@ def space_from_preset(text: str, prime=None, trunc=None) -> BraidedSpace:
     unity of order m), not both; quantum-plane's q defaults to -1 and
     cartan-A2's to a generic value: a primitive root mod p of order above
     2 * trunc, or 2 over the rationals.  s3-rack (d = 3) takes no q.  Every
-    preset takes prime=<p> (the `prime` argument wins) or rationals=1; any
-    other parameter is an error.
+    preset takes prime=<p> (the `prime` argument wins) and rationals=1 (the
+    rationals) or rationals=0 (the default, a prime field); any other
+    parameter or value, or a parameter given twice, is an error.
     """
     name, params = _parse_preset(text)
     orders, units = _preset_requirements(name, params)
     preset = _PRESETS[name]
-    if params.get("rationals"):
+    if params.get("rationals") == "1":
         field = RationalField()
     else:
         if prime is None and "prime" in params:

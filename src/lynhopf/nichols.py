@@ -1,9 +1,11 @@
 """Graded quotients of the tensor algebra and their Hilbert-series data.
 
-Covers Nichols algebras (degreewise image of the quantum symmetrizer),
-free quotients, and user-presented quotients, plus the PBW generator and
-height extraction, the per-Lyndon-word subquotient series, and the
-factorization and nonnegativity checks.
+Covers Nichols algebras (degreewise image of the quantum symmetrizer, each
+degree one kernel over V ox B_{n-1} from the skew-derivation recursion; the
+symmetrizer itself stays as a public reference), free quotients, and
+user-presented quotients, plus the PBW generator and height extraction, the
+per-Lyndon-word subquotient series, and the factorization and nonnegativity
+checks.
 """
 
 from __future__ import annotations
@@ -101,9 +103,25 @@ class GradedData:
 class GradedQuotient:
     """A graded quotient R = TV / (relations), computed degree by degree.
 
-    kind "nichols" quotients by the symmetrizer kernels, "free" by nothing,
-    "presented" by the two-sided ideal generated by the given homogeneous
-    relations (verified to be a coideal up to trunc at construction).
+    kind "nichols" quotients by the kernels of the quantum symmetrizers,
+    "free" by nothing, "presented" by the two-sided ideal generated by the
+    given homogeneous relations (verified to be a coideal up to trunc at
+    construction).
+
+    Free and presented degrees keep the fully reduced pivot map of the whole
+    relation space.  A Nichols degree n is one kernel over V ox B_{n-1}: with
+    D_n = (pi_{n-1} ox id) T'_n, where T'_n sums the braidings that move one
+    strand to the end, S_n = (S_{n-1} ox id) T'_n gives I_n = ker D_n, and D_n
+    factors through V ox B_{n-1} because V ox I_{n-1} lies in I_n.  Since
+    T'_n = c_{n-1}...c_1 + id ox T'_{n-1},
+
+        D_n(a ox b) = (pi ox id) c_{V,B}(a ox b) + (mu ox id)(a ox D_{n-1}(b)).
+
+    The columns are the words a.b with b standard of degree n-1.  Leads are
+    lex-least words, a multiplicative order, so every standard monomial is a
+    column; the kernel's free columns are the other columns, and its rows are
+    exactly the rows of the full pivot map with those leads.  Normal forms
+    follow NF(w) = mu(w_1 ox NF(w_2...)).
     """
 
     KINDS = ("nichols", "free", "presented")
@@ -131,6 +149,13 @@ class GradedQuotient:
         self.cap = cap
         self._pivots: dict = {0: {}, 1: {}}
         self._basis: dict = {}
+        if kind == "nichols":
+            one = space.field.one
+            letters = range(1, space.dim + 1)
+            self._basis = {0: ((),), 1: tuple((a,) for a in letters)}
+            # D_n on the standard words, in (standard word, letter) coordinates
+            self._derivation = {1: {(a,): {((), a): one} for a in letters}}
+            self._nf: dict = {w: {w: one} for w in ((),) + self._basis[1]}
         if kind == "presented":
             for n in range(2, trunc + 1):
                 self._ensure(n)
@@ -147,7 +172,8 @@ class GradedQuotient:
         if self.kind == "free":
             pivots = {}
         elif self.kind == "nichols":
-            pivots = kernel(field, symmetrizer(space, n, self.cap))
+            _check_cap(space, n, self.cap)
+            pivots = self._nichols_degree(n)
         else:
             # I_n = V I_{n-1} + I_{n-1} V + Rel_n; the rref of a row space is
             # unique, so the pivot map does not depend on the spanning rows
@@ -160,6 +186,49 @@ class GradedQuotient:
             pivots = rref(field, rows)
         self._pivots[n] = pivots
         return pivots
+
+    def _nichols_degree(self, n: int) -> dict:
+        """Relation rows with leads a.b; stores basis(n), D_n and mu on a.b."""
+        self._ensure(n - 1)
+        space = self.space
+        field = space.field
+        prev = self._derivation[n - 1]
+        columns = {}
+        for a in range(1, space.dim + 1):
+            for b in self._basis[n - 1]:
+                # c_{V,B}(a ox b) braids the letter a through to the end;
+                # with a ox D_{n-1}(b) it goes through pi ox id
+                moved = {(a,) + b: field.one}
+                for slot in range(1, n):
+                    moved = _apply_slot(field, moved, slot, space._cmap)
+                terms = [(w[:-1], w[-1], c) for w, c in moved.items()]
+                terms += [((a,) + p, last, c) for (p, last), c in prev[b].items()]
+                col: dict = {}
+                for word, last, c in terms:
+                    field.axpy(col, {(q, last): x for q, x
+                                     in self._normal_form(word).items()}, c)
+                columns[(a,) + b] = col
+        pivots = kernel(field, columns)
+        basis = self._basis[n] = tuple(w for w in columns if w not in pivots)
+        self._derivation[n] = {w: columns[w] for w in basis}
+        # mu(a ox b) = a.b: a standard word is itself, a lead minus its row
+        for w in columns:
+            row = pivots.get(w)
+            self._nf[w] = {w: field.one} if row is None else {
+                k: field.neg(v) for k, v in row.items() if k != w}
+        return pivots
+
+    def _normal_form(self, w: tuple) -> dict:
+        """NF(w) = mu(w_1 ox NF(w_2...)) on the standard monomials, memoized;
+        degree len(w) must be built, which seeds mu on its words a.b."""
+        hit = self._nf.get(w)
+        if hit is None:
+            field = self.space.field
+            hit = {}
+            for p, c in self._normal_form(w[1:]).items():
+                field.axpy(hit, self._nf[w[:1] + p], c)
+            self._nf[w] = hit
+        return hit
 
     def _check_coideal(self, n: int):
         """Delta of each degree-n relation must lie in Rel ox TV + TV ox Rel.
@@ -188,24 +257,36 @@ class GradedQuotient:
                 raise ValueError(
                     f"relations do not generate a coideal at degree {n}")
 
+    def _words(self, n: int):
+        """All words of length n, in order: a d^n walk, so it checks the cap."""
+        _check_cap(self.space, n, self.cap)
+        return itertools.product(range(1, self.space.dim + 1), repeat=n)
+
     def dim(self, n: int) -> int:
         if n > self.trunc:
             raise ValueError(f"degree {n} exceeds truncation {self.trunc}")
+        if self.kind == "nichols":
+            return len(self.basis(n))
         return self.space.dim ** n - len(self._ensure(n))
 
     def basis(self, n: int) -> tuple:
-        """Standard monomials: words of length n avoiding the relation pivots."""
+        """Standard monomials: words of length n avoiding the relation leads."""
+        pivots = self._ensure(n)
         hit = self._basis.get(n)
         if hit is None:
-            _check_cap(self.space, n, self.cap)
-            pivots = self._ensure(n)
-            hit = tuple(w for w in itertools.product(
-                range(1, self.space.dim + 1), repeat=n) if w not in pivots)
-            self._basis[n] = hit
+            hit = self._basis[n] = tuple(
+                w for w in self._words(n) if w not in pivots)
         return hit
 
     def project_terms(self, terms: dict, n: int) -> dict:
-        return reduce_mod(self.space.field, terms, self._ensure(n))
+        pivots = self._ensure(n)
+        field = self.space.field
+        if self.kind != "nichols":
+            return reduce_mod(field, terms, pivots)
+        out: dict = {}
+        for w, c in terms.items():
+            field.axpy(out, self._normal_form(w), c)
+        return out
 
     def project(self, x: TensorElement) -> dict:
         """Coordinates of a homogeneous element on the standard monomials."""
@@ -216,8 +297,10 @@ class GradedQuotient:
         return self.project_terms(x.terms, x.degree())
 
     def graded_data(self, n: int) -> GradedData:
-        pivots = self._ensure(n)
-        return GradedData(n, self.dim(n), self.basis(n), tuple(sorted(pivots)))
+        basis = self.basis(n)
+        standard = set(basis)
+        leads = tuple(w for w in self._words(n) if w not in standard)
+        return GradedData(n, len(basis), basis, leads)
 
     def hilbert_series(self, trunc: int | None = None) -> PowerSeries:
         trunc = self.trunc if trunc is None else trunc

@@ -364,11 +364,27 @@ def test_quantum_plane_order_under_the_guard(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("text", ["cartan-A2(order=3,q=2)", "cartan-A2(oder=3)",
-                                  "s3-rack(q=3)"])
+                                  "s3-rack(q=3)", "quantum-plane(rationals=2)",
+                                  "cartan-A2(q=2,q=3)"])
 def test_preset_parameter_errors(capsys, text):
     for argv in (["bracket", "12"], ["nichols", "dims", "--trunc", "6"]):
         obj = run_error(capsys, argv + ["--space", f"preset:{text}"])
         assert obj["kind"] == "domain" and text.split("(")[0] in obj["error"]
+
+
+def test_preset_repeats_and_rationals_flag(capsys):
+    want = {"error": "preset 'cartan-A2' repeats parameter 'q'", "kind": "domain"}
+    assert run_error(capsys, ["nichols", "dims", "--space",
+                              "preset:cartan-A2(q=2,q=3)", "--trunc", "3"]) == want
+    want = {"error": "preset 'quantum-plane' takes rationals=0 or rationals=1, "
+                     "not '2'", "kind": "domain"}
+    assert run_error(capsys, ["bracket", "12", "--space",
+                              "preset:quantum-plane(rationals=2)"]) == want
+    # rationals=0 is the default prime field, where -1 prints as p - 1
+    for flag, minus_one in (("0", "10006"), ("1", "-1")):
+        code, obj = run_json(capsys, ["bracket", "12", "--space",
+                                      f"preset:quantum-plane(rationals={flag})"])
+        assert code == 0 and obj["terms"][1] == {"word": "21", "coeff": minus_one}
 
 
 def test_space_json_string_is_not_a_preset(capsys, tmp_path):

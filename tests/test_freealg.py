@@ -709,12 +709,35 @@ PRESET_PARAMETER_ERRORS = {
                     "known: prime, rationals",
     "s3-rack(order=3,prime=13)": "preset 's3-rack' takes no parameter "
                                  "'order'; known: prime, rationals",
+    "quantum-plane(rationals=2)": "preset 'quantum-plane' takes rationals=0 "
+                                  "or rationals=1, not '2'",
+    "cartan-A2(rationals=)": "preset 'cartan-A2' takes rationals=0 or "
+                             "rationals=1, not ''",
+    "s3-rack(rationals=true)": "preset 's3-rack' takes rationals=0 or "
+                               "rationals=1, not 'true'",
+    "cartan-A2(q=2,q=3)": "preset 'cartan-A2' repeats parameter 'q'",
+    "quantum-plane(prime=13, prime=13)":
+        "preset 'quantum-plane' repeats parameter 'prime'",
+    "s3-rack(rationals=1,rationals=0)":
+        "preset 's3-rack' repeats parameter 'rationals'",
 }
+
+
+def test_preset_rationals_flag_is_zero_or_one():
+    """rationals=0 used to build over Q, like any non-empty value."""
+    for name in PRESET_NAMES:
+        assert space_from_preset(f"{name}(rationals=0)").field == \
+            space_from_preset(name).field
+        assert isinstance(space_from_preset(f"{name}(rationals=1)").field,
+                          RationalField)
+    assert space_from_preset("quantum-plane(rationals=0,prime=13)").field.p == 13
+    assert source_requirements("cartan-A2(order=3,rationals=0)") == ((3,), ())
 
 
 @pytest.mark.parametrize("text", sorted(PRESET_PARAMETER_ERRORS))
 def test_preset_rejects_unknown_and_conflicting_parameters(text):
-    """These texts were accepted with a parameter silently dropped."""
+    """These texts were accepted with a parameter silently dropped or
+    misread."""
     for read in (space_from_preset, source_requirements):
         with pytest.raises(ValueError) as exc:
             read(text)

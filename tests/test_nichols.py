@@ -2,13 +2,14 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from lynhopf import words
 from lynhopf.freealg import (BraidedSpace, TensorElement, _bracket_value,
                              _bracket_word_value, coproduct, space_from_preset)
-from lynhopf.linalg import Eliminator, rref
+from lynhopf.linalg import Eliminator, kernel, reduce_mod, rref
 from lynhopf.nichols import (BadPrimeError, GradedQuotient, MatrixCapExceeded,
                              PBWGenerator, nonneg_quotient_check, pbw_data,
                              pbw_series, run_guarded, subquotient_series,
@@ -286,6 +287,109 @@ def test_nichols_degree_is_one_elimination(monkeypatch):
     assert len(calls) == 5  # degrees 2..6, one rref each
 
 
+# ------------------------------------------- derivation recursion vs symmetrizer
+
+def symmetrizer_pivots(sp, n):
+    """Reference Nichols relations: the reduced kernel of the degree-n
+    symmetrizer, a pivot map over all d^n words."""
+    return kernel(sp.field, symmetrizer(sp, n))
+
+
+def random_rational_diagonal(d, rng, roots):
+    """A diagonal space over Q: entries +-1 (the rational sixth roots of
+    unity) or random nonzero fractions."""
+    fld = RationalField()
+    if roots:
+        q = [[Fraction(rng.choice((1, -1))) for _ in range(d)] for _ in range(d)]
+    else:
+        q = [[Fraction(rng.choice((1, -1)) * rng.randint(1, 9), rng.randint(1, 9))
+              for _ in range(d)] for _ in range(d)]
+    return BraidedSpace(fld, d, "diagonal", q)
+
+
+def recursion_case(name):
+    """(space, top degree) of one derivation-recursion case."""
+    if name == "swap-block":
+        fld = PrimeField(10007)
+        return BraidedSpace(fld, 3, "general", swap_block_matrix(fld)), 5
+    if name in ("s3-rack", "cartan-A2(order=3)"):
+        return space_from_preset(name), 6 if name == "s3-rack" else 7
+    kind, _, seed = name.rpartition("-")
+    rng = random.Random(name)
+    d = 2 if int(seed) % 2 else 3
+    if kind == "generic-p":
+        sp = random_diagonal(PrimeField(10007), d, rng)
+    elif kind == "roots-p":
+        sp = random_root_diagonal(d, rng)
+    else:
+        sp = random_rational_diagonal(d, rng, roots=kind == "roots-q")
+    return sp, 7 if d == 2 else 5
+
+
+RECURSION_CASES = ("swap-block", "s3-rack", "cartan-A2(order=3)") + tuple(
+    f"{kind}-{seed}" for kind in ("generic-p", "roots-p", "generic-q", "roots-q")
+    for seed in range(3))
+
+
+@pytest.mark.parametrize("name", RECURSION_CASES)
+def test_nichols_recursion_matches_symmetrizer_kernel(name):
+    """Every Nichols degree against the d^n symmetrizer kernel: basis, dims,
+    relation leads, the rows with candidate leads, and the projection of
+    random vectors."""
+    sp, top = recursion_case(name)
+    fld = sp.field
+    rng = random.Random(f"project/{name}")
+    R = GradedQuotient(sp, "nichols", top)
+    for n in range(2, top + 1):
+        oracle = symmetrizer_pivots(sp, n)
+        everything = list(all_words(sp.dim, n))
+        basis = tuple(w for w in everything if w not in oracle)
+        assert R.basis(n) == basis, n
+        assert R.dim(n) == len(basis)
+        assert R.graded_data(n).relation_leads == tuple(sorted(oracle))
+        rows = R._ensure(n)
+        candidates = {(a,) + b for a in range(1, sp.dim + 1)
+                      for b in R.basis(n - 1)}
+        assert set(rows) == set(oracle) & candidates, n
+        for lead, row in rows.items():
+            assert row == oracle[lead], (n, lead)
+        for _ in range(4):
+            vec = {w: fld.from_int(rng.randint(1, 9))
+                   for w in rng.sample(everything, min(len(everything), 8))}
+            assert R.project_terms(vec, n) == reduce_mod(fld, vec, oracle), n
+    if not name.startswith("generic"):  # generic q: the tensor algebra
+        assert any(R._ensure(n) for n in range(2, top + 1))
+
+
+def test_nichols_degrees_never_call_the_symmetrizer(monkeypatch):
+    from lynhopf import nichols
+    sym_calls, widths = [], []
+    counted_kernel, counted_symmetrizer = nichols.kernel, nichols.symmetrizer
+
+    def counting_kernel(field, columns):
+        widths.append(len(columns))
+        return counted_kernel(field, columns)
+
+    def counting_symmetrizer(*args, **kwargs):
+        sym_calls.append(args)
+        return counted_symmetrizer(*args, **kwargs)
+
+    monkeypatch.setattr(nichols, "kernel", counting_kernel)
+    monkeypatch.setattr(nichols, "symmetrizer", counting_symmetrizer)
+    R = GradedQuotient(space_from_preset("cartan-A2"), "nichols", 8)
+    dims = (1, 2, 4, 6, 9, 12, 16, 20, 25)
+    assert R.hilbert_series().coeffs == dims
+    assert sym_calls == []
+    # degrees 2..8, one kernel each, over the d * dim B_{n-1} words a.b
+    assert widths == [2 * c for c in dims[1:-1]]
+    widths.clear()
+    R = GradedQuotient(space_from_preset("s3-rack"), "nichols", 7)
+    assert R.hilbert_series().coeffs == (1, 3, 4, 3, 1, 0, 0, 0)
+    # B_5 = 0 needs the 3 words a.b with b spanning B_4; above, nothing
+    assert widths == [9, 12, 9, 3, 0, 0]
+    assert sym_calls == []
+
+
 def test_presented_matches_nichols_for_quantum_plane(qp_nichols):
     sp = qp_nichols.space
     f = sp.field
@@ -309,9 +413,8 @@ def random_presented(seed):
     rng = random.Random(seed)
     d = rng.choice((2, 2, 3))
     sp = random_root_diagonal(d, rng)
-    nichols = GradedQuotient(sp, "nichols", 4 if d == 2 else 3)
-    pool = [row for n in range(2, nichols.trunc + 1)
-            for row in nichols._ensure(n).values()]
+    pool = [row for n in range(2, (4 if d == 2 else 3) + 1)
+            for row in symmetrizer_pivots(sp, n).values()]
     rels = []
     for row in rng.sample(pool, min(len(pool), rng.randint(1, 3))):
         row = dict(row)
