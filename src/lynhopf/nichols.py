@@ -1,11 +1,11 @@
 """Graded quotients of the tensor algebra and their Hilbert-series data.
 
-Covers Nichols algebras (degreewise image of the quantum symmetrizer, each
-degree one kernel over V ox B_{n-1} from the skew-derivation recursion; the
-symmetrizer itself stays as a public reference), free quotients, and
-user-presented quotients, plus the PBW generator and height extraction, the
-per-Lyndon-word subquotient series, and the factorization and nonnegativity
-checks.
+Covers Nichols algebras (degreewise image of the quantum symmetrizer; the
+symmetrizer itself stays as a public reference), user-presented quotients and
+free ones, every degree kept the same way over V ox B_{n-1}: one kernel from
+the skew-derivation recursion (Nichols) or one rref (presented).  Plus the PBW
+generator and height extraction, the per-Lyndon-word subquotient series, and
+the factorization and nonnegativity checks.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .freealg import BraidedSpace, TensorElement, _apply_slot
 from .freealg import _bracket_value as _block_bracket
 from .freealg import _bracket_word_value as _block_bracket_word
 from .freealg import build_space, coproduct, source_requirements
-from .linalg import Eliminator, kernel, reduce_mod, rref
+from .linalg import Eliminator, kernel, rref
 from .scalars import next_prime_with
 from .series import PowerSeries, geometric_factor
 
@@ -104,24 +104,25 @@ class GradedQuotient:
     """A graded quotient R = TV / (relations), computed degree by degree.
 
     kind "nichols" quotients by the kernels of the quantum symmetrizers,
-    "free" by nothing, "presented" by the two-sided ideal generated by the
-    given homogeneous relations (verified to be a coideal up to trunc at
-    construction).
+    "presented" by the two-sided ideal generated by the given homogeneous
+    relations (verified to be a coideal up to trunc at construction), and
+    "free" is presented with no relations.
 
-    Free and presented degrees keep the fully reduced pivot map of the whole
-    relation space.  A Nichols degree n is one kernel over V ox B_{n-1}: with
-    D_n = (pi_{n-1} ox id) T'_n, where T'_n sums the braidings that move one
-    strand to the end, S_n = (S_{n-1} ox id) T'_n gives I_n = ker D_n, and D_n
-    factors through V ox B_{n-1} because V ox I_{n-1} lies in I_n.  Since
-    T'_n = c_{n-1}...c_1 + id ox T'_{n-1},
+    Leads are lex-least words, a multiplicative order, so the standard
+    monomials of degree n are words a.b with b standard.  Each degree keeps
+    the fully reduced relation rows whose leads are words a.b, with mu(a ox
+    b) = a.b seeded on those leads; its basis is the other words a.b, and
+    NF(w) = mu(w_1 ox NF(w_2...)).  Only the source of the rows depends on
+    the kind.  A Nichols degree is one kernel over V ox B_{n-1}: with D_n =
+    (pi_{n-1} ox id) T'_n, where T'_n sums the braidings that move one strand
+    to the end, S_n = (S_{n-1} ox id) T'_n gives I_n = ker D_n, D_n factors
+    through V ox B_{n-1}, and T'_n = c_{n-1}...c_1 + id ox T'_{n-1} gives
 
         D_n(a ox b) = (pi ox id) c_{V,B}(a ox b) + (mu ox id)(a ox D_{n-1}(b)).
 
-    The columns are the words a.b with b standard of degree n-1.  Leads are
-    lex-least words, a multiplicative order, so every standard monomial is a
-    column; the kernel's free columns are the other columns, and its rows are
-    exactly the rows of the full pivot map with those leads.  Normal forms
-    follow NF(w) = mu(w_1 ox NF(w_2...)).
+    A presented degree is one rref: I_n = V.I_{n-1} + sum_k Rel_k.V^{n-k} and
+    r.u = r.NF(u) modulo V.I_{n-1}, so its rows are r.b, b standard of degree
+    n-k, each rewritten by w -> w_1.NF(w_2...).
     """
 
     KINDS = ("nichols", "free", "presented")
@@ -147,55 +148,54 @@ class GradedQuotient:
         self.trunc = trunc
         self.relations = relations
         self.cap = cap
-        self._pivots: dict = {0: {}, 1: {}}
-        self._basis: dict = {}
-        if kind == "nichols":
-            one = space.field.one
-            letters = range(1, space.dim + 1)
-            self._basis = {0: ((),), 1: tuple((a,) for a in letters)}
-            # D_n on the standard words, in (standard word, letter) coordinates
-            self._derivation = {1: {(a,): {((), a): one} for a in letters}}
-            self._nf: dict = {w: {w: one} for w in ((),) + self._basis[1]}
-        if kind == "presented":
+        one = space.field.one
+        letters = range(1, space.dim + 1)
+        self._rows: list = [{}, {}]
+        self._dims: list = [1, space.dim]
+        self._basis: list = [((),), tuple((a,) for a in letters)]
+        self._nf: dict = {(): {(): one}}
+        self._free_through = 1  # no relation rows in degrees <= this
+        # D_n on the standard words, in (standard word, letter) coordinates
+        self._derivation = {1: {(a,): {((), a): one} for a in letters}}
+        if relations:
             for n in range(2, trunc + 1):
-                self._ensure(n)
                 self._check_coideal(n)
 
-    def _ensure(self, n: int) -> dict:
+    def _degree(self, n: int | None = None) -> int:
+        """n (the truncation for None), checked to lie in 0..trunc."""
+        if n is None:
+            return self.trunc
+        if n < 0:
+            raise ValueError("degree must be nonnegative")
         if n > self.trunc:
             raise ValueError(f"degree {n} exceeds truncation {self.trunc}")
-        hit = self._pivots.get(n)
-        if hit is not None:
-            return hit
-        space = self.space
-        field = space.field
-        if self.kind == "free":
-            pivots = {}
-        elif self.kind == "nichols":
-            _check_cap(space, n, self.cap)
-            pivots = self._nichols_degree(n)
-        else:
-            # I_n = V I_{n-1} + I_{n-1} V + Rel_n; the rref of a row space is
-            # unique, so the pivot map does not depend on the spanning rows
-            _check_cap(space, n, self.cap)
-            rows = [r.terms for r in self.relations if r.degree() == n]
-            for row in self._ensure(n - 1).values():
-                for a in range(1, space.dim + 1):
-                    rows.append({(a,) + w: c for w, c in row.items()})
-                    rows.append({w + (a,): c for w, c in row.items()})
-            pivots = rref(field, rows)
-        self._pivots[n] = pivots
-        return pivots
+        return n
 
-    def _nichols_degree(self, n: int) -> dict:
-        """Relation rows with leads a.b; stores basis(n), D_n and mu on a.b."""
-        self._ensure(n - 1)
+    def _ensure(self, n: int) -> dict:
+        """Relation rows of degree n with leads a.b; builds degrees in order."""
+        if not 0 <= n < len(self._rows):
+            field = self.space.field
+            for k in range(len(self._rows), self._degree(n) + 1):
+                rows = (self._nichols_rows if self.kind == "nichols"
+                        else self._presented_rows)(k)
+                for lead, row in rows.items():
+                    self._nf[lead] = {w: field.neg(c) for w, c in row.items()
+                                      if w != lead}
+                self._rows.append(rows)
+                self._dims.append(self.space.dim * self._dims[-1] - len(rows))
+                if not rows and self._free_through == k - 1:
+                    self._free_through = k
+        return self._rows[n]
+
+    def _nichols_rows(self, n: int) -> dict:
+        """The kernel of D_n over the words a.b; stores D_n on the others."""
+        _check_cap(self.space, n, self.cap)
         space = self.space
         field = space.field
         prev = self._derivation[n - 1]
         columns = {}
         for a in range(1, space.dim + 1):
-            for b in self._basis[n - 1]:
+            for b in self.basis(n - 1):
                 # c_{V,B}(a ox b) braids the letter a through to the end;
                 # with a ox D_{n-1}(b) it goes through pi ox id
                 moved = {(a,) + b: field.one}
@@ -208,81 +208,79 @@ class GradedQuotient:
                     field.axpy(col, {(q, last): x for q, x
                                      in self._normal_form(word).items()}, c)
                 columns[(a,) + b] = col
-        pivots = kernel(field, columns)
-        basis = self._basis[n] = tuple(w for w in columns if w not in pivots)
-        self._derivation[n] = {w: columns[w] for w in basis}
-        # mu(a ox b) = a.b: a standard word is itself, a lead minus its row
-        for w in columns:
-            row = pivots.get(w)
-            self._nf[w] = {w: field.one} if row is None else {
-                k: field.neg(v) for k, v in row.items() if k != w}
-        return pivots
+        rows = kernel(field, columns)
+        self._derivation[n] = {w: col for w, col in columns.items()
+                               if w not in rows}
+        return rows
+
+    def _presented_rows(self, n: int) -> dict:
+        """One rref of the rows r.b, each rewritten over the words a.b."""
+        field = self.space.field
+        rows = []
+        for r in self.relations:
+            k = r.degree()
+            for b in self.basis(n - k) if k <= n else ():
+                row: dict = {}
+                for w, c in r.terms.items():
+                    field.axpy(row, {w[:1] + p: x for p, x
+                                     in self._normal_form(w[1:] + b).items()}, c)
+                rows.append(row)
+        return rref(field, rows)
 
     def _normal_form(self, w: tuple) -> dict:
         """NF(w) = mu(w_1 ox NF(w_2...)) on the standard monomials, memoized;
-        degree len(w) must be built, which seeds mu on its words a.b."""
+        degree len(w) must be built.  A word a.b with b standard is its own
+        normal form unless it leads a row, and then mu is seeded on it."""
         hit = self._nf.get(w)
         if hit is None:
             field = self.space.field
             hit = {}
             for p, c in self._normal_form(w[1:]).items():
-                field.axpy(hit, self._nf[w[:1] + p], c)
+                q = w[:1] + p
+                mu = self._nf.get(q)
+                field.axpy(hit, {q: field.one} if mu is None else mu, c)
             self._nf[w] = hit
         return hit
 
     def _check_coideal(self, n: int):
-        """Delta of each degree-n relation must lie in Rel ox TV + TV ox Rel.
-
-        That sum is the kernel of pi ox pi, so both legs of every term are
-        projected onto the standard monomials and the image must vanish.
+        """Delta of each degree-n relation w - NF(w), w a lead, must lie in
+        Rel ox TV + TV ox Rel, the kernel of pi ox pi: both legs of every term
+        are projected onto the standard monomials and the image must vanish.
         """
         field = self.space.field
-        proj: dict = {}
-
-        def pi(w):
-            hit = proj.get(w)
-            if hit is None:
-                hit = proj[w] = self.project_terms({w: field.one}, len(w))
-            return hit
-
-        for row in self._pivots[n].values():
-            delta = coproduct(TensorElement(self.space, row))
+        nf = self._normal_form
+        for w in self.graded_data(n).relation_leads:
+            row = field.axpy({w: field.one}, nf(w), field.neg(field.one))
             image: dict = {}
-            for (u, v), c in delta.terms.items():
-                right = pi(v)
-                for pu, cu in pi(u).items():
+            for (u, v), c in coproduct(TensorElement(self.space, row)).terms.items():
+                right = nf(v)
+                for pu, cu in nf(u).items():
                     field.axpy(image, {(pu, pv): cv for pv, cv in right.items()},
                                field.mul(c, cu))
             if image:
                 raise ValueError(
                     f"relations do not generate a coideal at degree {n}")
 
-    def _words(self, n: int):
-        """All words of length n, in order: a d^n walk, so it checks the cap."""
-        _check_cap(self.space, n, self.cap)
-        return itertools.product(range(1, self.space.dim + 1), repeat=n)
-
     def dim(self, n: int) -> int:
-        if n > self.trunc:
-            raise ValueError(f"degree {n} exceeds truncation {self.trunc}")
-        if self.kind == "nichols":
-            return len(self.basis(n))
-        return self.space.dim ** n - len(self._ensure(n))
+        self._ensure(n)
+        return self._dims[n]
 
     def basis(self, n: int) -> tuple:
-        """Standard monomials: words of length n avoiding the relation leads."""
-        pivots = self._ensure(n)
-        hit = self._basis.get(n)
-        if hit is None:
-            hit = self._basis[n] = tuple(
-                w for w in self._words(n) if w not in pivots)
-        return hit
+        """Standard monomials: the words a.b, b standard of degree n-1, that
+        lead no relation row; in order, and checked against the cap."""
+        self._ensure(n)
+        for k in range(len(self._basis), n + 1):
+            _check_cap(self.space, k, self.cap)
+            self._basis.append(tuple(
+                w for a in range(1, self.space.dim + 1) for b in self._basis[-1]
+                if (w := (a,) + b) not in self._rows[k]))
+        return self._basis[n]
 
     def project_terms(self, terms: dict, n: int) -> dict:
-        pivots = self._ensure(n)
+        self._ensure(n)
+        if n <= self._free_through:
+            return dict(terms)
         field = self.space.field
-        if self.kind != "nichols":
-            return reduce_mod(field, terms, pivots)
         out: dict = {}
         for w, c in terms.items():
             field.axpy(out, self._normal_form(w), c)
@@ -297,13 +295,15 @@ class GradedQuotient:
         return self.project_terms(x.terms, x.degree())
 
     def graded_data(self, n: int) -> GradedData:
+        """The relation leads are every other word: a d^n walk."""
         basis = self.basis(n)
         standard = set(basis)
-        leads = tuple(w for w in self._words(n) if w not in standard)
+        leads = tuple(w for w in itertools.product(
+            range(1, self.space.dim + 1), repeat=n) if w not in standard)
         return GradedData(n, len(basis), basis, leads)
 
     def hilbert_series(self, trunc: int | None = None) -> PowerSeries:
-        trunc = self.trunc if trunc is None else trunc
+        trunc = self._degree(trunc)
         return PowerSeries(tuple(self.dim(n) for n in range(trunc + 1)))
 
 
@@ -368,9 +368,7 @@ def pbw_data(R: GradedQuotient, trunc: int | None = None) -> PBWData:
     if not R.space.is_diagonal:
         raise NotImplementedError(
             "PBW extraction is only implemented for diagonal braidings")
-    N = R.trunc if trunc is None else trunc
-    if N > R.trunc:
-        raise ValueError(f"degree {N} exceeds truncation {R.trunc}")
+    N = R._degree(trunc)
     field = R.space.field
     G: list = []
     heights: dict = {}
@@ -402,10 +400,9 @@ def pbw_series(data: PBWData, trunc: int | None = None) -> PowerSeries:
     return out
 
 
-def _cfl_table(space: BraidedSpace, d: int, m: int, cap: int | None) -> tuple:
+def _cfl_table(space: BraidedSpace, d: int, m: int) -> tuple:
     """All degree-m words over 1..d as (first, last, CFL factors) rows,
     sorted by last factor, descending."""
-    _check_cap(space, m, cap)
     key = ("cfl_table", d, m)
     hit = space._cache.get(key)
     if hit is None:
@@ -434,10 +431,12 @@ def _subquotient_counts(R: GradedQuotient, m: int, stop=None) -> dict:
     images of u^k raise the rank; those stay in the span for the smaller
     words.  With `stop` the sweep ends after that word's step; otherwise it
     has inserted every bracket word of degree m, whose images span R_m.
+    Where R_m = 0 every count is 0, and no image is built.
     """
     space = R.space
     part = space.component_partition()
-    rows = _cfl_table(space, len(part), m, R.cap)
+    _check_cap(space, m, R.cap)
+    rows = _cfl_table(space, len(part), m) if R.dim(m) else ()
     span = Eliminator(space.field)
 
     def insert(sw) -> int:
@@ -457,7 +456,7 @@ def _subquotient_counts(R: GradedQuotient, m: int, stop=None) -> dict:
             i += 1
             if first != last:
                 insert(sw)
-        counts[u] = insert((u,) * (m // len(u)))
+        counts[u] = insert((u,) * (m // len(u))) if rows else 0
         if u == stop:
             return counts
     if span.rank != R.dim(m):
@@ -480,9 +479,7 @@ def subquotient_series(R: GradedQuotient, u, trunc: int | None = None) -> Subquo
     u = words.validate_word(u, D)
     if not words.is_lyndon(u):
         raise ValueError(f"{u} is not a Lyndon word")
-    N = R.trunc if trunc is None else trunc
-    if N > R.trunc:
-        raise ValueError(f"degree {N} exceeds truncation {R.trunc}")
+    N = R._degree(trunc)
     coeffs = [0] * (N + 1)
     coeffs[0] = 1
     for m in range(len(u), N + 1, len(u)):
@@ -496,7 +493,7 @@ def verify_factorization(R: GradedQuotient, trunc: int | None = None) -> Factori
     One sweep per degree yields every factor's coefficient of that degree
     and checks that the bracket words span R_m.
     """
-    N = R.trunc if trunc is None else trunc
+    N = R._degree(trunc)
     lhs = R.hilbert_series(N)
     D = len(R.space.component_partition())
     coeffs = {u: [1] + [0] * N
@@ -534,7 +531,7 @@ def nonneg_quotient_check(R: GradedQuotient, u, trunc: int | None = None) -> Non
     if not R.space.is_diagonal:
         raise NotImplementedError(
             "the rank-one self-braiding scalar needs a diagonal braiding")
-    N = R.trunc if trunc is None else trunc
+    N = R._degree(trunc)
     sq = subquotient_series(R, u, N)
     u = sq.word
     step = len(u)

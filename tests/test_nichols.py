@@ -248,6 +248,24 @@ def test_free_quotient_dims(field):
         R.dim(7)
 
 
+def test_free_is_presented_without_relations(field):
+    rng = random.Random(213)
+    for d, trunc in ((1, 6), (2, 6), (3, 4)):
+        sp = random_diagonal(field, d, rng)
+        free = GradedQuotient(sp, "free", trunc)
+        bare = GradedQuotient(sp, "presented", trunc, relations=())
+        for n in range(trunc + 1):
+            everything = tuple(all_words(d, n))
+            assert free.basis(n) == bare.basis(n) == everything
+            assert free.dim(n) == bare.dim(n) == d ** n
+            vec = {w: field.from_int(rng.randint(1, 9))
+                   for w in rng.sample(everything, min(len(everything), 5))}
+            assert free.project_terms(vec, n) == bare.project_terms(vec, n) == vec
+    # dims need no words: a cap of 10 would stop any walk over them
+    big = GradedQuotient(sp, "free", 1200, cap=10)
+    assert big.hilbert_series().coeffs == tuple(d ** n for n in range(1201))
+
+
 def test_quantum_plane_dims(qp_nichols):
     assert qp_nichols.hilbert_series().coeffs == (1, 2, 1, 0, 0)
     assert qp_nichols.basis(2) == ((2, 1),)
@@ -448,8 +466,18 @@ def test_presented_matches_product_walk_and_span_oracles():
             trunc = int(err.rsplit(" ", 1)[1]) - 1
             R = GradedQuotient(sp, "presented", trunc, relations=rels)
             expected = oracle_presented(sp, rels, trunc)
-        for n in range(trunc + 1):
-            assert R._ensure(n) == expected[n], (seed, n)
+        fld = sp.field
+        for n in range(1, trunc + 1):
+            oracle = expected[n]
+            # the full pivot map, through the public API
+            assert R.graded_data(n).relation_leads == tuple(sorted(oracle))
+            for w, row in oracle.items():
+                nf = R.project_terms({w: fld.one}, n)
+                assert fld.axpy({w: fld.one}, nf, fld.neg(fld.one)) == row, (seed, w)
+            # the stored rows are the ones whose leads are words a.b
+            standard = set(R.basis(n - 1))
+            assert R._ensure(n) == {w: row for w, row in oracle.items()
+                                    if w[1:] in standard}, (seed, n)
     # the seeds cover coideals and failures at degrees 2, 3 and 4
     assert set(seen) == {None} | {
         f"relations do not generate a coideal at degree {n}" for n in (2, 3, 4)}
@@ -719,6 +747,34 @@ def test_pbw_and_sweep_match_oracles_on_presented_quotient(qp_nichols):
     check_sweep_against_oracle(R)
 
 
+@pytest.mark.parametrize("preset,trunc,zero", [
+    ("cartan-A2(order=3)", 10, [9, 10]),
+    ("s3-rack", 7, [5, 6, 7]),
+])
+def test_sweep_builds_no_bracket_word_where_the_degree_is_zero(
+        monkeypatch, preset, trunc, zero):
+    from lynhopf import nichols
+    R = GradedQuotient(space_from_preset(preset), "nichols", trunc)
+    assert [m for m in range(trunc + 1) if R.dim(m) == 0] == zero
+    degrees = []
+    counted = nichols._block_bracket_word
+
+    def counting(space, sw, cw, flavor):
+        degrees.append(words.superword_degree(sw))
+        return counted(space, sw, cw, flavor)
+
+    monkeypatch.setattr(nichols, "_block_bracket_word", counting)
+    rep = verify_factorization(R)
+    assert rep.ok
+    assert degrees and not set(degrees) & set(zero)
+    degrees.clear()
+    assert [subquotient_series(R, f.word) for f in rep.factors] == list(rep.factors)
+    assert degrees and not set(degrees) & set(zero)
+    monkeypatch.undo()
+    for f in rep.factors:
+        assert f.series.coeffs == oracle_subquotient(R, f.word, trunc), f.word
+
+
 # -------------------------------------------------------------- nonnegativity
 
 def test_nonneg_quantum_plane(qp_nichols):
@@ -793,6 +849,36 @@ def test_matrix_cap_argument(field):
         verify_factorization(free)
     with pytest.raises(MatrixCapExceeded, match="128"):
         subquotient_series(free, (1,))
+
+
+DEGREE_ENTRY_POINTS = {
+    "dim": lambda R, n: R.dim(n),
+    "basis": lambda R, n: R.basis(n),
+    "graded_data": lambda R, n: R.graded_data(n),
+    "project_terms": lambda R, n: R.project_terms({}, n),
+    "hilbert_series": lambda R, n: R.hilbert_series(n),
+    "pbw_data": lambda R, n: pbw_data(R, n),
+    "subquotient_series": lambda R, n: subquotient_series(R, (1,), n),
+    "verify_factorization": lambda R, n: verify_factorization(R, n),
+    "nonneg_quotient_check": lambda R, n: nonneg_quotient_check(R, (1,), n),
+}
+
+
+@pytest.mark.parametrize("entry", DEGREE_ENTRY_POINTS)
+def test_degree_arguments_outside_the_truncation(entry):
+    call = DEGREE_ENTRY_POINTS[entry]
+    sp = space_from_preset("quantum-plane")
+    rel = sp.element({(1, 1): sp.field.one})
+    for R in (GradedQuotient(sp, "free", 4), GradedQuotient(sp, "nichols", 4),
+              GradedQuotient(sp, "presented", 4, relations=(rel,))):
+        for n in (-1, -2):
+            with pytest.raises(ValueError) as exc:
+                call(R, n)
+            assert str(exc.value) == "degree must be nonnegative", (R.kind, n)
+        with pytest.raises(ValueError) as exc:
+            call(R, 5)
+        assert str(exc.value) == "degree 5 exceeds truncation 4", R.kind
+        call(R, 4)
 
 
 def test_run_guarded_agreement():
