@@ -325,9 +325,15 @@ class TensorElement(_SparseElement):
     __slots__ = ()
 
     def __mul__(self, other):
-        """Concatenation product."""
+        """Concatenation product.  When the left words share one length, no
+        two term pairs give one word, and over a field no product vanishes."""
         self._same(other)
         fld = self.space.field
+        if self.is_homogeneous():
+            mul = fld.mul
+            return TensorElement(self.space, {
+                wa + wb: mul(ca, cb) for wa, ca in self.terms.items()
+                for wb, cb in other.terms.items()})
         out: dict = {}
         for wa, ca in self.terms.items():
             fld.axpy(out, {wa + wb: cb for wb, cb in other.terms.items()}, ca)
@@ -407,10 +413,8 @@ class TensorSquareElement(_SparseElement):
     @classmethod
     def from_pair(cls, x: TensorElement, y: TensorElement) -> "TensorSquareElement":
         fld = x.space.field
-        out: dict = {}
-        for wa, ca in x.terms.items():
-            fld.axpy(out, {(wa, wb): cb for wb, cb in y.terms.items()}, ca)
-        return cls(x.space, out)
+        return cls(x.space, {(wa, wb): fld.mul(ca, cb) for wa, ca in x.terms.items()
+                             for wb, cb in y.terms.items()})
 
     def __mul__(self, other):
         """(a ox b)(c ox d) = sum (a c_i) ox (b_i d) over c(x_b ox x_c)."""
@@ -455,7 +459,13 @@ def _m_braid(space, a: TensorElement, b: TensorElement, inverse: bool) -> Tensor
     """Multiplication composed with the braiding: m(c^{+-1}(a tensor b)).
 
     a and b are homogeneous, so l + r tells the braided terms (l, r) apart.
+    Over a diagonal braiding they must be multi-homogeneous too: then every
+    term pair braids with one scalar, and the result is that scalar times b a.
     """
+    if space.is_diagonal:
+        x, y = next(iter(a.terms), ()), next(iter(b.terms), ())
+        [f] = space.braid_words(x, y, inverse).values()
+        return (b * a).scale(f)
     return TensorElement(space, {l + r: c for (l, r), c
                                  in _braid_terms(a, b, inverse).items()})
 

@@ -565,6 +565,7 @@ def run_guarded(source, trunc: int, compute, prime: int | None = None,
         raise ValueError("the two guard primes must differ")
     other = build_space(source, prime=second_prime, trunc=trunc)
     first = compute(space)
+    del space  # frees the first prime's caches before the second fills its own
     second = compute(other)
     if first != second:
         raise BadPrimeError(

@@ -9,6 +9,7 @@ alphabet.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterator, Sequence
 
 Word = tuple  # tuple[int, ...]
@@ -144,23 +145,26 @@ def monotonic_superwords(letters: Sequence[Word], degree: int,
     the multiplicity of individual letters.  Yields in descending lex order.
     """
     letters = sorted(set(letters), reverse=True)
+    # fits[r]: ascending indices of the letters of length <= r; room[i]: how
+    # many more copies of letters[i] the caps allow
+    fits = [[i for i, f in enumerate(letters) if len(f) <= r]
+            for r in range(max(degree, 0) + 1)]
+    room = [degree if c is None else c for c in map((max_count or {}).get, letters)]
     buf: list[Word] = []
 
     def rec(start: int, remaining: int) -> Iterator[SuperWord]:
         if remaining == 0:
             yield tuple(buf)
             return
-        for idx in range(start, len(letters)):
-            f = letters[idx]
-            if len(f) > remaining:
-                continue
-            if max_count is not None:
-                cap = max_count.get(f)
-                if cap is not None and buf.count(f) >= cap:
-                    continue
-            buf.append(f)
-            yield from rec(idx, remaining - len(f))
-            buf.pop()
+        fit = fits[remaining]
+        for idx in fit[bisect_left(fit, start):]:
+            if room[idx] > 0:
+                f = letters[idx]
+                buf.append(f)
+                room[idx] -= 1
+                yield from rec(idx, remaining - len(f))
+                room[idx] += 1
+                buf.pop()
 
     return rec(0, degree)
 

@@ -14,10 +14,15 @@ def field():
     return PrimeField(10007)
 
 
-def random_diagonal(field, d: int, rng: random.Random) -> BraidedSpace:
-    """A diagonal braided space with uniformly random nonzero q entries."""
-    q = [[field.from_int(rng.randrange(1, field.p)) for _ in range(d)]
-         for _ in range(d)]
+def random_diagonal(field, d: int, rng: random.Random,
+                    values=None) -> BraidedSpace:
+    """A diagonal braided space with q entries drawn uniformly from `values`,
+    by default from all nonzero residues of the prime field."""
+    if values is None:
+        q = [[field.from_int(rng.randrange(1, field.p)) for _ in range(d)]
+             for _ in range(d)]
+    else:
+        q = [[rng.choice(values) for _ in range(d)] for _ in range(d)]
     return BraidedSpace(field, d, "diagonal", q)
 
 

@@ -312,6 +312,112 @@ def test_shirshov_product_leads_to_bracket(field):
         assert leading_vector(prod) == (u, field.one)
 
 
+# ------------------------------------------------- diagonal twist, products
+
+def oracle_m_braid(space, a, b, inverse):
+    """m(c^{+-1}(a ox b)) braiding every term pair on its own."""
+    left = {((), w): c for w, c in a.terms.items()}
+    right = {(w, ()): c for w, c in b.terms.items()}
+    return space.element({l + r: c for (l, r), c in freealg._braided_mul(
+        space, left, right, inverse).items()})
+
+
+def oracle_mul(x, y):
+    """Concatenation product accumulated term pair by term pair."""
+    fld = x.space.field
+    out: dict = {}
+    for wa, ca in x.terms.items():
+        fld.axpy(out, {wa + wb: cb for wb, cb in y.terms.items()}, ca)
+    return x.space.element(out)
+
+
+def twist_spaces(d):
+    """Seeded diagonal spaces over F_p and Q, generic or with roots of unity."""
+    fp, qq = PrimeField(10009), RationalField()
+    cube = [fp.element_of_order(3) ** k % fp.p for k in range(3)]
+    rationals = [Fraction(v) for v in ("2", "-1", "1/3", "-3/2", "5", "1/7")]
+    rng = random.Random(f"twist/{d}")
+    return [random_diagonal(fp, d, rng),
+            random_diagonal(fp, d, rng, cube + [fp.neg(c) for c in cube]),
+            random_diagonal(qq, d, rng, rationals),
+            random_diagonal(qq, d, rng, [Fraction(1), Fraction(-1)])]
+
+
+@pytest.mark.parametrize("d", (2, 3))
+def test_diagonal_twist_matches_term_pair_oracle(d, monkeypatch):
+    """Brackets, bracket words, bracketings and antipodes built with one
+    scalar per twist equal those built by braiding every term pair."""
+    n = 6
+    lyndon = words.enumerate_lyndon(d, n)
+    sws = [sw for k in range(1, n + 1)
+           for sw in words.monotonic_superwords(lyndon, k)]
+    for sp in twist_spaces(d):
+        def build():
+            out = []
+            for flavor in ("left", "double"):
+                vals = [bracket(sp, u, flavor).value for u in lyndon]
+                vals += [bracket_word(sp, sw, flavor) for sw in sws]
+                out += vals + [antipode(x) for x in vals]
+                out += [bracket_element(sp, words.concat(sw), flavor)
+                        for sw in sws]
+            return out
+
+        with monkeypatch.context() as m:
+            m.setattr(freealg, "_m_braid", oracle_m_braid)
+            want = build()
+        sp._cache.clear()
+        got = build()
+        assert len(got) == len(want)
+        for x, y in zip(got, want):
+            assert x == y
+
+
+@pytest.mark.parametrize("fld", (PrimeField(10007), RationalField()))
+def test_homogeneous_product_matches_pair_by_pair_sum(fld):
+    rng = random.Random(61)
+    sp = BraidedSpace(fld, 3, "diagonal", [[fld.one] * 3] * 3)
+
+    def rand_element(lengths):
+        return sp.element({
+            tuple(rng.randrange(1, 4) for _ in range(rng.choice(lengths))):
+            fld.from_int(rng.randrange(1, 50)) for _ in range(rng.randrange(0, 9))})
+
+    for _ in range(200):
+        x = rand_element([rng.randrange(0, 4)])
+        y = rand_element(range(0, 4))
+        assert x.is_homogeneous()
+        assert x * y == oracle_mul(x, y)
+        z = rand_element(range(0, 4))
+        assert z * y == oracle_mul(z, y)
+
+
+def test_inhomogeneous_product_collects_colliding_words(field):
+    sp = random_diagonal(field, 3, random.Random(62))
+    x1, x2, x3 = (sp.generator(i) for i in (1, 2, 3))
+    prod = (x1 + x1 * x2) * (x2 * x3 + x3)
+    two = field.from_int(2)
+    assert prod.terms == {(1, 2, 3): two, (1, 3): field.one,
+                          (1, 2, 2, 3): field.one}
+
+
+def test_diagonal_bracket_takes_one_qprod_per_bracket(field, monkeypatch):
+    calls = []
+    qprod = BraidedSpace.qprod
+
+    def counted(self, u, v):
+        calls.append((u, v))
+        return qprod(self, u, v)
+
+    monkeypatch.setattr(BraidedSpace, "qprod", counted)
+    sp = random_diagonal(field, 3, random.Random(63))
+    built = 0
+    for flavor in ("left", "double"):
+        for u in words.enumerate_lyndon(3, 6):
+            bracket(sp, u, flavor)
+            built += len(u) > 1
+    assert 0 < len(calls) <= built
+
+
 # ----------------------------------------------------------------- expansion
 
 def test_expand_monotonic_basis_round_trip(field):

@@ -1,7 +1,9 @@
 """Graded quotients, symmetrizer, PBW data, factorization and guards."""
 
+import gc
 import itertools
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -907,3 +909,19 @@ def test_run_guarded_prime_handling():
                        prime=13, second_prime=17) == 7
     with pytest.raises(BadPrimeError):
         run_guarded("quantum-plane", 3, lambda sp: sp.field.p)
+
+
+def test_run_guarded_frees_the_first_space_before_the_second_run():
+    refs, alive = [], []
+
+    def compute(sp):
+        if refs:
+            gc.collect()
+            alive.append(refs[0]() is not None)
+        refs.append(weakref.ref(sp))
+        R = GradedQuotient(sp, "nichols", 4)
+        _bracket_value(sp, (1, 2), (1, 2), "left")  # cached values point back at sp
+        return R.hilbert_series()
+
+    assert run_guarded("quantum-plane", 4, compute).coeffs == (1, 2, 1, 0, 0)
+    assert alive == [False]

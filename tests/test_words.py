@@ -1,6 +1,7 @@
 """Word combinatorics against brute-force oracles and frozen examples."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -44,6 +45,30 @@ def shirshov_oracle(u):
         if lyndon_oracle(u[i:]) and (best is None or len(u[i:]) > len(u[best:])):
             best = i
     return u[:best], u[best:]
+
+
+def monotonic_superwords_oracle(letters, degree, max_count=None):
+    """Walk every letter at every node, counting capped letters in the buffer."""
+    letters = sorted(set(letters), reverse=True)
+    buf = []
+
+    def rec(start, remaining):
+        if remaining == 0:
+            yield tuple(buf)
+            return
+        for idx in range(start, len(letters)):
+            f = letters[idx]
+            if len(f) > remaining:
+                continue
+            if max_count is not None:
+                cap = max_count.get(f)
+                if cap is not None and buf.count(f) >= cap:
+                    continue
+            buf.append(f)
+            yield from rec(idx, remaining - len(f))
+            buf.pop()
+
+    return rec(0, degree)
 
 
 # ---------------------------------------------------------------- frozen examples
@@ -185,6 +210,22 @@ def test_monotonic_superwords_respect_caps():
     for sw in monotonic_superwords(enumerate_lyndon(2, 4), 4, caps):
         assert sw.count((1,)) <= 1
         assert sw.count((2,)) <= 2
+
+
+def test_monotonic_superwords_match_oracle_on_random_letters():
+    rng = random.Random(171)
+    for _ in range(60):
+        d = rng.randrange(1, 4)
+        pool = enumerate_lyndon(d, rng.randrange(1, 6))
+        letters = rng.sample(pool, rng.randrange(0, len(pool) + 1))
+        caps = None
+        if letters and rng.random() < 0.6:
+            caps = {f: rng.randrange(0, 3)
+                    for f in rng.sample(letters, rng.randrange(1, len(letters) + 1))}
+            caps[rng.choice(letters)] = None
+        for degree in range(-1, 8):
+            assert list(monotonic_superwords(letters, degree, caps)) == list(
+                monotonic_superwords_oracle(letters, degree, caps)), (letters, caps)
 
 
 def test_concat_and_degree():
