@@ -747,8 +747,8 @@ PRESET_NAMES = tuple(_PRESETS)
 def _preset_requirements(name: str, params: dict):
     """(order divisors, unit literals) a prime must accommodate; they also
     fix q.  The one reader of a preset's parameters: it rejects those the
-    preset does not take, rationals= other than 0 or 1, and q= together
-    with order=."""
+    preset does not take, rationals= other than 0 or 1, order= other than a
+    positive integer, and q= together with order=."""
     preset = _PRESETS.get(name)
     if preset is None:
         raise ValueError(f"unknown preset {name!r}; known: {', '.join(PRESET_NAMES)}")
@@ -763,6 +763,9 @@ def _preset_requirements(name: str, params: dict):
     if "order" in params:
         if "q" in params:
             raise ValueError(f"preset {name!r} takes q= or order=, not both")
+        if not params["order"].isdecimal() or int(params["order"]) < 1:
+            raise ValueError(f"preset {name!r} takes order=<positive integer>, "
+                             f"not {params['order']!r}")
         return (int(params["order"]),), ()
     q = params.get("q", preset.default_q)
     return (), (() if q is None else (Fraction(q),))

@@ -343,14 +343,9 @@ class NonnegReport:
     quotient: PowerSeries
 
 
-def _pi_bracket_word(R: GradedQuotient, sw: tuple) -> dict:
-    val = _block_bracket_word(R.space, sw, words.concat(sw), "left")
-    return R.project_terms(val.terms, words.superword_degree(sw))
-
-
-def _restricted_words(G: list, degree: int, heights: dict):
-    caps = {u: h - 1 for u, h in heights.items() if h is not None}
-    return words.monotonic_superwords(G, degree, caps or None)
+def _image(R: GradedQuotient, sw: tuple, cw: tuple, m: int) -> dict:
+    """Coordinates in R_m of the bracket word of shape sw on the word cw."""
+    return R.project_terms(_block_bracket_word(R.space, sw, cw, "left").terms, m)
 
 
 def pbw_data(R: GradedQuotient, trunc: int | None = None) -> PBWData:
@@ -369,18 +364,19 @@ def pbw_data(R: GradedQuotient, trunc: int | None = None) -> PBWData:
         raise NotImplementedError(
             "PBW extraction is only implemented for diagonal braidings")
     N = R._degree(trunc)
-    field = R.space.field
+    lyndon = words.enumerate_lyndon(R.space.dim, max(N, 1))
     G: list = []
     heights: dict = {}
     for n in range(1, N + 1):
         _check_cap(R.space, n, R.cap)
         powers = {(u,) * (n // len(u)): u for u in G
                   if heights[u] is None and n % len(u) == 0 and n > len(u)}
-        span = Eliminator(field)
-        for sw in sorted(_restricted_words(G, n, heights)):
-            if not span.insert(_pi_bracket_word(R, sw)) and sw in powers:
+        caps = {u: h - 1 for u, h in heights.items() if h is not None}
+        span = Eliminator(R.space.field)
+        for sw in sorted(words.monotonic_superwords(G, n, caps)):
+            if not span.insert(_image(R, sw, words.concat(sw), n)) and sw in powers:
                 heights[powers[sw]] = len(sw)
-        for u in words.enumerate_lyndon(R.space.dim, n):
+        for u in lyndon:
             if len(u) != n:
                 continue
             vec = R.project_terms(_block_bracket(R.space, u, u, "left").terms, n)
@@ -400,61 +396,41 @@ def pbw_series(data: PBWData, trunc: int | None = None) -> PowerSeries:
     return out
 
 
-def _cfl_table(space: BraidedSpace, d: int, m: int) -> tuple:
-    """All degree-m words over 1..d as (first, last, CFL factors) rows,
-    sorted by last factor, descending."""
-    key = ("cfl_table", d, m)
-    hit = space._cache.get(key)
-    if hit is None:
-        rows = []
-        for w in itertools.product(range(1, d + 1), repeat=m):
-            sw = words.cfl_factorize(w)
-            rows.append((sw[0], sw[-1], sw))
-        hit = tuple(sorted(rows, key=lambda row: row[1], reverse=True))
-        space._cache[key] = hit
-    return hit
-
-
-def _instantiations(part: tuple, w: tuple):
-    """Coordinate words filling each block-alphabet slot of w from its block."""
-    return itertools.product(*(part[b - 1] for b in w))
-
-
 def _subquotient_counts(R: GradedQuotient, m: int, stop=None) -> dict:
     """Degree-m coefficients of the subquotient series of every Lyndon word
     u with |u| dividing m, in one descending sweep: {u: coefficient}.
 
-    The ideal part of u, the monotonic bracket words sw != u^k with
-    last(sw) >= u, only grows as u decreases.  So the sweep walks u downwards,
-    first inserting every row of the CFL table with last factor >= u that is
-    not a power (powers enter at their own step), then counting how many
-    images of u^k raise the rank; those stay in the span for the smaller
-    words.  With `stop` the sweep ends after that word's step; otherwise it
-    has inserted every bracket word of degree m, whose images span R_m.
-    Where R_m = 0 every count is 0, and no image is built.
+    The rows are the monotonic bracket words of degree m, one per word by
+    Chen-Fox-Lyndon uniqueness, sorted by last factor, descending.  The ideal
+    part of u, the rows sw != u^k with last(sw) >= u, only grows as u
+    decreases.  So the sweep walks u downwards, first inserting every row with
+    last factor >= u that is not a power (powers enter at their own step),
+    then counting how many images of u^k raise the rank; those stay in the
+    span for the smaller words.  With `stop` the sweep ends after that word's
+    step; otherwise it has inserted every bracket word of degree m, whose
+    images span R_m.  Where R_m = 0 every count is 0, and no row is built.
     """
-    space = R.space
-    part = space.component_partition()
-    _check_cap(space, m, R.cap)
-    rows = _cfl_table(space, len(part), m) if R.dim(m) else ()
-    span = Eliminator(space.field)
+    part = R.space.component_partition()
+    _check_cap(R.space, m, R.cap)
+    lyndon = words.enumerate_lyndon(len(part), m)
+    rows = sorted(words.monotonic_superwords(lyndon, m), key=lambda sw: sw[-1],
+                  reverse=True) if R.dim(m) else ()
+    span = Eliminator(R.space.field)
 
     def insert(sw) -> int:
-        grown = 0
-        for cw in _instantiations(part, words.concat(sw)):
-            val = _block_bracket_word(space, sw, cw, "left")
-            grown += span.insert(R.project_terms(val.terms, m))
-        return grown
+        slots = (part[b - 1] for b in words.concat(sw))
+        return sum(span.insert(_image(R, sw, cw, m))
+                   for cw in itertools.product(*slots))
 
     counts = {}
     i = 0
-    for u in reversed(words.enumerate_lyndon(len(part), m)):
+    for u in reversed(lyndon):
         if m % len(u):
             continue
-        while i < len(rows) and rows[i][1] >= u:
-            first, last, sw = rows[i]
+        while i < len(rows) and rows[i][-1] >= u:
+            sw = rows[i]
             i += 1
-            if first != last:
+            if sw[0] != sw[-1]:
                 insert(sw)
         counts[u] = insert((u,) * (m // len(u))) if rows else 0
         if u == stop:
@@ -565,7 +541,8 @@ def run_guarded(source, trunc: int, compute, prime: int | None = None,
         raise ValueError("the two guard primes must differ")
     other = build_space(source, prime=second_prime, trunc=trunc)
     first = compute(space)
-    del space  # frees the first prime's caches before the second fills its own
+    space._cache.clear()  # its elements point back at it: free it now, not at gc
+    del space
     second = compute(other)
     if first != second:
         raise BadPrimeError(

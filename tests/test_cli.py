@@ -365,7 +365,8 @@ def test_quantum_plane_order_under_the_guard(capsys, monkeypatch):
 
 @pytest.mark.parametrize("text", ["cartan-A2(order=3,q=2)", "cartan-A2(oder=3)",
                                   "s3-rack(q=3)", "quantum-plane(rationals=2)",
-                                  "cartan-A2(q=2,q=3)"])
+                                  "cartan-A2(q=2,q=3)", "cartan-A2(order=0)",
+                                  "quantum-plane(order=abc)"])
 def test_preset_parameter_errors(capsys, text):
     for argv in (["bracket", "12"], ["nichols", "dims", "--trunc", "6"]):
         obj = run_error(capsys, argv + ["--space", f"preset:{text}"])

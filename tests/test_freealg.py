@@ -826,6 +826,12 @@ PRESET_PARAMETER_ERRORS = {
         "preset 'quantum-plane' repeats parameter 'prime'",
     "s3-rack(rationals=1,rationals=0)":
         "preset 's3-rack' repeats parameter 'rationals'",
+    "cartan-A2(order=0)": "preset 'cartan-A2' takes order=<positive "
+                          "integer>, not '0'",
+    "quantum-plane(order=-3)": "preset 'quantum-plane' takes "
+                               "order=<positive integer>, not '-3'",
+    "cartan-A2(order=abc)": "preset 'cartan-A2' takes order=<positive "
+                            "integer>, not 'abc'",
 }
 
 

@@ -1,10 +1,14 @@
-"""The runtime stays pure standard library."""
+"""The runtime stays pure standard library, and the names the bench tracer
+wraps exist."""
 
 import ast
+import importlib
+import importlib.util
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "lynhopf"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "lynhopf"
 
 
 def imported_modules(path: Path):
@@ -23,3 +27,18 @@ def test_src_imports_only_the_standard_library():
     outside = {(p.name, name) for p in files for name in imported_modules(p)
                if name not in allowed}
     assert outside == set()
+
+
+def test_bench_tracer_names_resolve():
+    """bench/tracing.py wraps these by name; the test suite does not run the
+    bench, so a rename would otherwise surface only in a traced bench run."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.FUNCTIONS and tracing.METHODS
+    for mod, attr, *_ in tracing.FUNCTIONS:
+        assert hasattr(importlib.import_module(f"lynhopf.{mod}"), attr), attr
+    for mod, cls, meth, *_ in tracing.METHODS:
+        owner = getattr(importlib.import_module(f"lynhopf.{mod}"), cls)
+        assert meth in vars(owner), (cls, meth)

@@ -752,6 +752,7 @@ def test_pbw_and_sweep_match_oracles_on_presented_quotient(qp_nichols):
 @pytest.mark.parametrize("preset,trunc,zero", [
     ("cartan-A2(order=3)", 10, [9, 10]),
     ("s3-rack", 7, [5, 6, 7]),
+    ("cartan-A2", 8, []),
 ])
 def test_sweep_builds_no_bracket_word_where_the_degree_is_zero(
         monkeypatch, preset, trunc, zero):
@@ -769,6 +770,9 @@ def test_sweep_builds_no_bracket_word_where_the_degree_is_zero(
     rep = verify_factorization(R)
     assert rep.ok
     assert degrees and not set(degrees) & set(zero)
+    # one bracket word per coordinate word in each degree with R_m != 0
+    assert {m: degrees.count(m) for m in set(degrees)} == {
+        m: R.space.dim ** m for m in range(1, trunc + 1) if R.dim(m)}
     degrees.clear()
     assert [subquotient_series(R, f.word) for f in rep.factors] == list(rep.factors)
     assert degrees and not set(degrees) & set(zero)
@@ -912,16 +916,22 @@ def test_run_guarded_prime_handling():
 
 
 def test_run_guarded_frees_the_first_space_before_the_second_run():
+    """Cached elements point back at their space, so without clearing its
+    cache the first prime's space lived until a full collection."""
     refs, alive = [], []
 
     def compute(sp):
         if refs:
-            gc.collect()
             alive.append(refs[0]() is not None)
         refs.append(weakref.ref(sp))
-        R = GradedQuotient(sp, "nichols", 4)
-        _bracket_value(sp, (1, 2), (1, 2), "left")  # cached values point back at sp
-        return R.hilbert_series()
+        return pbw_data(GradedQuotient(sp, "nichols", 6))
 
-    assert run_guarded("quantum-plane", 4, compute).coeffs == (1, 2, 1, 0, 0)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        data = run_guarded("cartan-A2(order=3)", 6, compute)
+    finally:
+        if enabled:
+            gc.enable()
+    assert [g.height for g in data.generators] == [3, 3, 3]
     assert alive == [False]

@@ -202,6 +202,7 @@ def test_monotonic_superwords_biject_with_words():
         for sw in sws:
             validate_superword(sw)
             assert superword_degree(sw) == n
+            assert cfl_factorize(concat(sw)) == sw
         assert sws == sorted(sws, reverse=True)
 
 
