@@ -29,22 +29,12 @@ class BraidingReport:
 
 
 def _apply_slot(field, state: dict, slot: int, cmap: dict) -> dict:
-    """Apply a two-strand braiding at 1-based slot to a dict of words.
-
-    Words are grouped by their letter pair at the slot, so that each term of
-    the pair's image is added for the whole group in one axpy.
-    """
+    """Apply a two-strand braiding at 1-based slot to a dict of words."""
     i, j = slot - 1, slot + 1
-    by_pair: dict = {}
-    for w, coeff in state.items():
-        by_pair.setdefault(w[i:j], {})[w] = coeff
     out: dict = {}
-    for ab, group in by_pair.items():
-        for cd, f in cmap[ab].items():
-            image = {}
-            for w, coeff in group.items():
-                image[w[:i] + cd + w[j:]] = coeff
-            field.axpy(out, image, f)
+    for w, coeff in state.items():
+        field.axpy(out, {w[:i] + cd + w[j:]: f for cd, f in cmap[w[i:j]].items()},
+                   coeff)
     return out
 
 
@@ -597,11 +587,9 @@ def _coproduct_word(space, w: tuple) -> dict:
     if not w:
         terms = {((), ()): fld.one}
     else:
-        prefix = TensorSquareElement(space, _coproduct_word(space, w[:-1]))
         a = w[-1]
-        last = TensorSquareElement(space, {((a,), ()): fld.one,
-                                           ((), (a,)): fld.one})
-        terms = (prefix * last).terms
+        terms = _braided_mul(space, _coproduct_word(space, w[:-1]),
+                             {((a,), ()): fld.one, ((), (a,)): fld.one})
     space._cache[key] = terms
     return terms
 

@@ -196,12 +196,10 @@ class GradedQuotient:
         columns = {}
         for a in range(1, space.dim + 1):
             for b in self.basis(n - 1):
-                # c_{V,B}(a ox b) braids the letter a through to the end;
-                # with a ox D_{n-1}(b) it goes through pi ox id
-                moved = {(a,) + b: field.one}
-                for slot in range(1, n):
-                    moved = _apply_slot(field, moved, slot, space._cmap)
-                terms = [(w[:-1], w[-1], c) for w, c in moved.items()]
+                # c_{V,B}(a ox b) is braid_words((a,), b), one scalar on a
+                # diagonal space; with a ox D_{n-1}(b) it goes through pi ox id
+                terms = [(l, r[0], c) for (l, r), c
+                         in space.braid_words((a,), b).items()]
                 terms += [((a,) + p, last, c) for (p, last), c in prev[b].items()]
                 col: dict = {}
                 for word, last, c in terms:

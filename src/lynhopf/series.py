@@ -148,6 +148,8 @@ def lyndon_identity_check(d: int, trunc: int,
     repetitions of the super-letter [u], each power multiplying dimensions.
     Only words of length <= trunc contribute below the truncation.
     """
+    if not isinstance(trunc, int) or trunc < 0:
+        raise ValueError("trunc must be a nonnegative integer")
     if letter_dims is None:
         letter_dims = (1,) * d
     if len(letter_dims) != d or any(m < 1 for m in letter_dims):

@@ -285,6 +285,10 @@ def test_domain_errors(capsys):
                              "preset:quantum-plane", "--trunc", "3",
                              "--prime", "13", "--second-prime", "13"])
     assert obj["kind"] == "domain"
+    obj = run_error(capsys, ["tv", "identity-check", "--alphabet", "2",
+                             "--trunc", "-3"])
+    assert obj == {"error": "trunc must be a nonnegative integer",
+                   "kind": "domain"}
 
 
 QP_DIAGONAL = [["-1", "1"], ["1", "-1"]]

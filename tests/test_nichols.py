@@ -4,6 +4,7 @@ import gc
 import itertools
 import random
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -327,8 +328,21 @@ def random_rational_diagonal(d, rng, roots):
     return BraidedSpace(fld, d, "diagonal", q)
 
 
+# cartan-A2 at q = -1 conjugated by g ox g, g = [[1, 1], [0, 1]]: a braiding
+# that is not monomial, so braided states split into several words
+CONJUGATED_A2 = ((-1, 0, 2, -2), (0, 0, 1, -2), (0, -1, 0, 0), (0, 0, 0, -1))
+
+
+def conjugated_a2(fld):
+    return BraidedSpace(fld, 2, "general",
+                        [[fld.from_int(v) for v in row] for row in CONJUGATED_A2])
+
+
 def recursion_case(name):
     """(space, top degree) of one derivation-recursion case."""
+    if name.startswith("conjugated-A2"):
+        fld = PrimeField(10007) if name.endswith("-p") else RationalField()
+        return conjugated_a2(fld), 6
     if name == "swap-block":
         fld = PrimeField(10007)
         return BraidedSpace(fld, 3, "general", swap_block_matrix(fld)), 5
@@ -348,7 +362,7 @@ def recursion_case(name):
 
 RECURSION_CASES = ("swap-block", "s3-rack", "cartan-A2(order=3)") + tuple(
     f"{kind}-{seed}" for kind in ("generic-p", "roots-p", "generic-q", "roots-q")
-    for seed in range(3))
+    for seed in range(3)) + ("conjugated-A2-p", "conjugated-A2-q")
 
 
 @pytest.mark.parametrize("name", RECURSION_CASES)
@@ -408,6 +422,42 @@ def test_nichols_degrees_never_call_the_symmetrizer(monkeypatch):
     # B_5 = 0 needs the 3 words a.b with b spanning B_4; above, nothing
     assert widths == [9, 12, 9, 3, 0, 0]
     assert sym_calls == []
+
+
+@pytest.mark.parametrize("fld", [PrimeField(10007), RationalField()],
+                         ids=["p", "q"])
+def test_non_monomial_braiding_matches_cartan_order_two(fld):
+    R = GradedQuotient(conjugated_a2(fld), "nichols", 6)
+    assert R.hilbert_series().coeffs == (1, 2, 2, 2, 1, 0, 0)
+    order_two = GradedQuotient(space_from_preset("cartan-A2(order=2)"),
+                               "nichols", 6)
+    assert R.hilbert_series() == order_two.hilbert_series()
+    assert verify_factorization(R).ok
+
+
+def test_diagonal_nichols_degrees_braid_once_per_column(monkeypatch):
+    from lynhopf import freealg, nichols
+    calls = []
+    braid_words = BraidedSpace.braid_words
+
+    def counted(self, u, v, inverse=False):
+        calls.append((u, v))
+        return braid_words(self, u, v, inverse)
+
+    def never(*args):
+        raise AssertionError("_apply_slot called on a diagonal space")
+
+    monkeypatch.setattr(BraidedSpace, "braid_words", counted)
+    monkeypatch.setattr(freealg, "_apply_slot", never)
+    monkeypatch.setattr(nichols, "_apply_slot", never)
+    for sp in (space_from_preset("cartan-A2"),
+               random_root_diagonal(3, random.Random(71))):
+        calls.clear()
+        R = GradedQuotient(sp, "nichols", 6)
+        R.hilbert_series()
+        columns = [((a,), b) for n in range(2, 7) for a in range(1, sp.dim + 1)
+                   for b in R.basis(n - 1)]
+        assert sorted(calls) == sorted(columns)
 
 
 def test_presented_matches_nichols_for_quantum_plane(qp_nichols):
@@ -586,6 +636,40 @@ def test_pbw_trunc_guard(qp_nichols):
     with pytest.raises(ValueError):
         pbw_data(qp_nichols, trunc=9)
     assert pbw_data(qp_nichols, trunc=3).trunc == 3
+
+
+def standard_lyndon_heights(R):
+    """Counter of (|u|, k) over the Lyndon words u that are standard (in
+    R.basis(|u|)), with k the least k >= 2, k|u| <= trunc, such that u^k is
+    not standard, or None if there is no such k."""
+    out = Counter()
+    for u in words.enumerate_lyndon(R.space.dim, R.trunc):
+        if u in R.basis(len(u)):
+            out[len(u), next((k for k in range(2, R.trunc // len(u) + 1)
+                              if u * k not in R.basis(k * len(u))), None)] += 1
+    return out
+
+
+PBW_COUNT_CASES = ("cartan-A2", "cartan-A2(order=3)", "cartan-A2(order=4)",
+                   "cartan-A2(order=5)", "quantum-plane") + tuple(
+    f"roots-{d}-{seed}" for d in (2, 3) for seed in range(6))
+
+
+@pytest.mark.parametrize("name", PBW_COUNT_CASES)
+def test_pbw_generators_counted_by_standard_lyndon_words(name):
+    """The restricted PBW generators (Kharchenko 1999) counted by degree and
+    height are the standard Lyndon words (Lalonde-Ram 1995), each with the
+    least k such that u^k is not standard.  The scan may pick other words,
+    so only the counts are compared."""
+    if name.startswith("roots-"):
+        _, d, seed = name.split("-")
+        sp = random_root_diagonal(int(d), random.Random(5000 + int(seed)))
+        trunc = 8 if d == "2" else 6
+    else:
+        sp, trunc = space_from_preset(name), 10
+    R = GradedQuotient(sp, "nichols", trunc)
+    counts = Counter((len(g.word), g.height) for g in pbw_data(R).generators)
+    assert counts == standard_lyndon_heights(R)
 
 
 # ------------------------------------------------------- subquotient series
