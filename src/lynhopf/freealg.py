@@ -139,6 +139,21 @@ def _general_cmap(field, dim, matrix):
     return cmap
 
 
+def _cached(kind: str):
+    """Memoize f(space, *args) in space._cache under (kind, *args).  Values
+    are plain data (term dicts, tuples) that never refer to the space."""
+    def decorate(f):
+        def memo(space, *args):
+            key = (kind, *args)
+            hit = space._cache.get(key)
+            if hit is None:
+                hit = space._cache[key] = f(space, *args)
+            return hit
+        memo.__doc__ = f.__doc__
+        return memo
+    return decorate
+
+
 class BraidedSpace:
     """A finite-dimensional braided vector space with cached bracket data."""
 
@@ -157,6 +172,7 @@ class BraidedSpace:
     def is_diagonal(self) -> bool:
         return self.kind == "diagonal"
 
+    @_cached("components")
     def component_partition(self) -> tuple:
         """Finest partition of the coordinate lines into braiding-stable blocks.
 
@@ -166,33 +182,29 @@ class BraidedSpace:
         (the s3-rack preset does) gives the single block (1..d).  Blocks are
         sorted by least member and numbered 1..D in that order.
         """
-        hit = self._cache.get("components")
-        if hit is None:
-            parent = list(range(self.dim + 1))
+        parent = list(range(self.dim + 1))
 
-            def find(a):
-                while parent[a] != a:
-                    parent[a] = parent[parent[a]]
-                    a = parent[a]
-                return a
+        def find(a):
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            return a
 
-            def union(a, b):
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[ra] = rb
+        def union(a, b):
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[ra] = rb
 
-            if not self.is_diagonal:
-                for (a, b), image in self._cmap.items():
-                    for (c, d), v in image.items():
-                        if v != self.field.zero:
-                            union(c, b)
-                            union(d, a)
-            groups: dict = {}
-            for i in range(1, self.dim + 1):
-                groups.setdefault(find(i), []).append(i)
-            hit = tuple(tuple(g) for g in sorted(groups.values()))
-            self._cache["components"] = hit
-        return hit
+        if not self.is_diagonal:
+            for (a, b), image in self._cmap.items():
+                for (c, d), v in image.items():
+                    if v != self.field.zero:
+                        union(c, b)
+                        union(d, a)
+        groups: dict = {}
+        for i in range(1, self.dim + 1):
+            groups.setdefault(find(i), []).append(i)
+        return tuple(tuple(g) for g in sorted(groups.values()))
 
     def qprod(self, u: tuple, v: tuple):
         """For diagonal braidings, the scalar q(u, v) = prod q_{ab} over a in u, b in v."""
@@ -315,15 +327,11 @@ class TensorElement(_SparseElement):
     __slots__ = ()
 
     def __mul__(self, other):
-        """Concatenation product.  When the left words share one length, no
-        two term pairs give one word, and over a field no product vanishes."""
+        """Concatenation product."""
         self._same(other)
         fld = self.space.field
         if self.is_homogeneous():
-            mul = fld.mul
-            return TensorElement(self.space, {
-                wa + wb: mul(ca, cb) for wa, ca in self.terms.items()
-                for wb, cb in other.terms.items()})
+            return TensorElement(self.space, _concat(fld, self.terms, other.terms))
         out: dict = {}
         for wa, ca in self.terms.items():
             fld.axpy(out, {wa + wb: cb for wb, cb in other.terms.items()}, ca)
@@ -381,6 +389,14 @@ class TensorElement(_SparseElement):
         return " + ".join(bits)
 
 
+def _concat(fld, x: dict, y: dict) -> dict:
+    """Concatenation product of TV term dicts whose left words share one
+    length: no two term pairs give one word, and over a field no product
+    vanishes."""
+    mul = fld.mul
+    return {wa + wb: mul(ca, cb) for wa, ca in x.items() for wb, cb in y.items()}
+
+
 def _braided_mul(space, left: dict, right: dict, inverse: bool = False) -> dict:
     """The braided product of two TV ox TV term dicts (see
     TensorSquareElement.__mul__), with c^{-1} in place of c when inverse is set.
@@ -429,10 +445,11 @@ class TensorSquareElement(_SparseElement):
             for k in self.support())
 
 
-def _braid_terms(x: TensorElement, y: TensorElement, inverse: bool) -> dict:
-    """c^{+-1}(x tensor y) as a TV ox TV term dict: (1 ox x)(y ox 1)."""
-    return _braided_mul(x.space, {((), w): c for w, c in x.terms.items()},
-                        {(w, ()): c for w, c in y.terms.items()}, inverse)
+def _braid_terms(space, x: dict, y: dict, inverse: bool) -> dict:
+    """c^{+-1}(x tensor y) for TV term dicts x and y, as a TV ox TV term
+    dict: (1 ox x)(y ox 1)."""
+    return _braided_mul(space, {((), w): c for w, c in x.items()},
+                        {(w, ()): c for w, c in y.items()}, inverse)
 
 
 def braid_apply(x: TensorElement, y: TensorElement,
@@ -440,24 +457,23 @@ def braid_apply(x: TensorElement, y: TensorElement,
     """c(x tensor y), or its inverse, for homogeneous x and y."""
     if not (x.is_homogeneous() and y.is_homogeneous()):
         raise ValueError("braid application needs homogeneous arguments")
-    if y.space is not x.space:
-        raise ValueError("operands live over different braided spaces")
-    return TensorSquareElement(x.space, _braid_terms(x, y, inverse))
+    x._same(y)
+    return TensorSquareElement(x.space, _braid_terms(x.space, x.terms, y.terms, inverse))
 
 
-def _m_braid(space, a: TensorElement, b: TensorElement, inverse: bool) -> TensorElement:
-    """Multiplication composed with the braiding: m(c^{+-1}(a tensor b)).
+def _m_braid(space, a: dict, b: dict, inverse: bool) -> dict:
+    """Multiplication composed with the braiding: m(c^{+-1}(a tensor b)), for
+    TV term dicts a and b.
 
     a and b are homogeneous, so l + r tells the braided terms (l, r) apart.
     Over a diagonal braiding they must be multi-homogeneous too: then every
     term pair braids with one scalar, and the result is that scalar times b a.
     """
     if space.is_diagonal:
-        x, y = next(iter(a.terms), ()), next(iter(b.terms), ())
+        x, y = next(iter(a), ()), next(iter(b), ())
         [f] = space.braid_words(x, y, inverse).values()
-        return (b * a).scale(f)
-    return TensorElement(space, {l + r: c for (l, r), c
-                                 in _braid_terms(a, b, inverse).items()})
+        return _concat(space.field, space.field.axpy({}, b, f), a)
+    return {l + r: c for (l, r), c in _braid_terms(space, a, b, inverse).items()}
 
 
 class BracketLetter:
@@ -475,7 +491,8 @@ class BracketLetter:
         return wrap.format(words.format_word(self.word))
 
 
-def _bracket_value(space: BraidedSpace, u: tuple, cw: tuple, flavor: str) -> TensorElement:
+@_cached("br")
+def _bracket_value(space: BraidedSpace, u: tuple, cw: tuple, flavor: str) -> dict:
     """Bracket of the coordinate word cw along the Lyndon shape u.
 
     The shape is split at its Shirshov factorization and cw at the same
@@ -484,20 +501,14 @@ def _bracket_value(space: BraidedSpace, u: tuple, cw: tuple, flavor: str) -> Ten
     (see BraidedSpace.component_partition) is the shape of each coordinate
     word that fills its letters from their blocks.
     """
-    key = ("br", flavor, u, cw)
-    hit = space._cache.get(key)
-    if hit is not None:
-        return hit
+    fld = space.field
     if len(u) == 1:
-        val = space.generator(cw[0])
-    else:
-        v, w = words.shirshov(u)
-        a = _bracket_value(space, v, cw[:len(v)], flavor)
-        b = _bracket_value(space, w, cw[len(v):], flavor)
-        twist = _m_braid(space, a, b, inverse=(flavor == "left"))
-        val = a * b - twist
-    space._cache[key] = val
-    return val
+        return {cw: fld.one}
+    v, w = words.shirshov(u)
+    a = _bracket_value(space, v, cw[:len(v)], flavor)
+    b = _bracket_value(space, w, cw[len(v):], flavor)
+    twist = _m_braid(space, a, b, inverse=(flavor == "left"))
+    return fld.axpy(_concat(fld, a, b), twist, fld.neg(fld.one))
 
 
 def bracket(space: BraidedSpace, u, flavor: str = "left") -> BracketLetter:
@@ -511,7 +522,8 @@ def bracket(space: BraidedSpace, u, flavor: str = "left") -> BracketLetter:
         raise ValueError(f"{u} is not a Lyndon word")
     if flavor not in ("left", "double"):
         raise ValueError(f"unknown bracket flavor {flavor!r}")
-    return BracketLetter(u, flavor, _bracket_value(space, u, u, flavor))
+    return BracketLetter(u, flavor,
+                         TensorElement(space, _bracket_value(space, u, u, flavor)))
 
 
 def bracket_word(space: BraidedSpace, sw, flavor: str = "left") -> TensorElement:
@@ -519,32 +531,27 @@ def bracket_word(space: BraidedSpace, sw, flavor: str = "left") -> TensorElement
     sw = words.validate_superword(sw, monotonic=True)
     for f in sw:
         words.validate_word(f, space.dim)
-    return _bracket_word_value(space, sw, words.concat(sw), flavor)
+    return TensorElement(space, _bracket_word_value(space, sw, words.concat(sw), flavor))
 
 
-def _bracket_word_value(space, sw: tuple, cw: tuple, flavor: str) -> TensorElement:
+@_cached("bw")
+def _bracket_word_value(space, sw: tuple, cw: tuple, flavor: str) -> dict:
     """Ordered product of the brackets of cw along the shapes in sw."""
-    key = ("bw", flavor, sw, cw)
-    hit = space._cache.get(key)
-    if hit is not None:
-        return hit
     if not sw:
-        val = space.unit()
-    elif len(sw) == 1:
-        val = _bracket_value(space, sw[0], cw, flavor)
-    else:
-        cut = len(cw) - len(sw[-1])
-        val = _bracket_word_value(space, sw[:-1], cw[:cut], flavor) * _bracket_value(
-            space, sw[-1], cw[cut:], flavor)
-    space._cache[key] = val
-    return val
+        return {(): space.field.one}
+    if len(sw) == 1:
+        return _bracket_value(space, sw[0], cw, flavor)
+    cut = len(cw) - len(sw[-1])
+    return _concat(space.field, _bracket_word_value(space, sw[:-1], cw[:cut], flavor),
+                   _bracket_value(space, sw[-1], cw[cut:], flavor))
 
 
 def bracket_element(space: BraidedSpace, w, flavor: str = "left") -> TensorElement:
     """The bracketing of an arbitrary word: bracket letters along its
     Chen-Fox-Lyndon factorization, multiplied in order."""
     w = words.validate_word(w, space.dim)
-    return _bracket_word_value(space, words.cfl_factorize(w), w, flavor)
+    return TensorElement(space, _bracket_word_value(
+        space, words.cfl_factorize(w), w, flavor))
 
 
 def leading_vector(x: TensorElement) -> tuple:
@@ -573,25 +580,18 @@ def expand_monotonic_basis(x: TensorElement) -> dict:
         sw = words.cfl_factorize(w)
         coeff = residual[w]
         out[sw] = coeff
-        space.field.axpy(residual, _bracket_word_value(space, sw, w, "left").terms,
-                         -coeff)
+        space.field.axpy(residual, _bracket_word_value(space, sw, w, "left"), -coeff)
     return out
 
 
+@_cached("cop")
 def _coproduct_word(space, w: tuple) -> dict:
-    key = ("cop", w)
-    hit = space._cache.get(key)
-    if hit is not None:
-        return hit
-    fld = space.field
+    one = space.field.one
     if not w:
-        terms = {((), ()): fld.one}
-    else:
-        a = w[-1]
-        terms = _braided_mul(space, _coproduct_word(space, w[:-1]),
-                             {((a,), ()): fld.one, ((), (a,)): fld.one})
-    space._cache[key] = terms
-    return terms
+        return {((), ()): one}
+    a = w[-1]
+    return _braided_mul(space, _coproduct_word(space, w[:-1]),
+                        {((a,), ()): one, ((), (a,)): one})
 
 
 def coproduct(x: TensorElement) -> TensorSquareElement:
@@ -607,22 +607,13 @@ def counit(x: TensorElement):
     return x.terms.get((), x.space.field.zero)
 
 
-def _antipode_word(space, w: tuple) -> TensorElement:
-    key = ("anti", w)
-    hit = space._cache.get(key)
-    if hit is not None:
-        return hit
+@_cached("anti")
+def _antipode_word(space, w: tuple) -> dict:
     fld = space.field
-    if not w:
-        val = space.unit()
-    elif len(w) == 1:
-        val = space.generator(w[0]).scale(fld.neg(fld.one))
-    else:
-        head = _antipode_word(space, w[:1])
-        tail = _antipode_word(space, w[1:])
-        val = _m_braid(space, head, tail, inverse=False)
-    space._cache[key] = val
-    return val
+    if len(w) <= 1:
+        return {w: fld.neg(fld.one) if w else fld.one}  # S(1) = 1, S(x_i) = -x_i
+    return _m_braid(space, _antipode_word(space, w[:1]),
+                    _antipode_word(space, w[1:]), inverse=False)
 
 
 def antipode(x: TensorElement) -> TensorElement:
@@ -630,7 +621,7 @@ def antipode(x: TensorElement) -> TensorElement:
     space = x.space
     out: dict = {}
     for w, c in x.terms.items():
-        space.field.axpy(out, _antipode_word(space, w).terms, c)
+        space.field.axpy(out, _antipode_word(space, w), c)
     return TensorElement(space, out)
 
 

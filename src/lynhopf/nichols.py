@@ -343,7 +343,7 @@ class NonnegReport:
 
 def _image(R: GradedQuotient, sw: tuple, cw: tuple, m: int) -> dict:
     """Coordinates in R_m of the bracket word of shape sw on the word cw."""
-    return R.project_terms(_block_bracket_word(R.space, sw, cw, "left").terms, m)
+    return R.project_terms(_block_bracket_word(R.space, sw, cw, "left"), m)
 
 
 def pbw_data(R: GradedQuotient, trunc: int | None = None) -> PBWData:
@@ -372,12 +372,15 @@ def pbw_data(R: GradedQuotient, trunc: int | None = None) -> PBWData:
         caps = {u: h - 1 for u, h in heights.items() if h is not None}
         span = Eliminator(R.space.field)
         for sw in sorted(words.monotonic_superwords(G, n, caps)):
-            if not span.insert(_image(R, sw, words.concat(sw), n)) and sw in powers:
-                heights[powers[sw]] = len(sw)
+            if span.insert(_image(R, sw, words.concat(sw), n)):
+                continue
+            if sw not in powers:  # restricted PBW theorem (Kharchenko 1999)
+                raise RuntimeError(f"degree {n}: {sw} is dependent but not a power")
+            heights[powers[sw]] = len(sw)
         for u in lyndon:
             if len(u) != n:
                 continue
-            vec = R.project_terms(_block_bracket(R.space, u, u, "left").terms, n)
+            vec = R.project_terms(_block_bracket(R.space, u, u, "left"), n)
             if span.insert(vec):
                 G.append(u)
                 heights[u] = None
@@ -539,7 +542,6 @@ def run_guarded(source, trunc: int, compute, prime: int | None = None,
         raise ValueError("the two guard primes must differ")
     other = build_space(source, prime=second_prime, trunc=trunc)
     first = compute(space)
-    space._cache.clear()  # its elements point back at it: free it now, not at gc
     del space
     second = compute(other)
     if first != second:

@@ -1,7 +1,9 @@
 """Braided spaces, tensor elements, brackets, coproduct and antipode."""
 
+import gc
 import itertools
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -315,11 +317,11 @@ def test_shirshov_product_leads_to_bracket(field):
 # ------------------------------------------------- diagonal twist, products
 
 def oracle_m_braid(space, a, b, inverse):
-    """m(c^{+-1}(a ox b)) braiding every term pair on its own."""
-    left = {((), w): c for w, c in a.terms.items()}
-    right = {(w, ()): c for w, c in b.terms.items()}
+    """m(c^{+-1}(a ox b)) of term dicts, braiding every term pair on its own."""
+    left = {((), w): c for w, c in a.items()}
+    right = {(w, ()): c for w, c in b.items()}
     return space.element({l + r: c for (l, r), c in freealg._braided_mul(
-        space, left, right, inverse).items()})
+        space, left, right, inverse).items()}).terms
 
 
 def oracle_mul(x, y):
@@ -580,6 +582,56 @@ def test_component_partition_rack():
 def test_component_partition_mixed_blocks(field):
     sp = BraidedSpace(field, 3, "general", swap_block_matrix(field))
     assert sp.component_partition() == ((1, 2), (3,))
+
+
+# ------------------------------------------------------------ per-space cache
+
+CACHE_SPACES = ("cartan-A2(order=3)", "s3-rack")
+
+
+def mixed_workload(sp):
+    """Brackets in both flavors of every Lyndon word up to length 4, their
+    antipodes and coproducts, one bracketing and the block partition."""
+    for u in words.enumerate_lyndon(sp.dim, 4):
+        for flavor in ("left", "double"):
+            x = bracket(sp, u, flavor).value
+            antipode(x)
+            coproduct(x)
+    bracket_element(sp, (2, 1, 1, 2))
+    sp.component_partition()
+
+
+@pytest.mark.parametrize("preset", CACHE_SPACES)
+def test_cache_keys_name_their_kind(preset):
+    """Every cache key is a tuple led by its kind, the layout the bench
+    counts entries by; a repeated build adds no entry."""
+    sp = build_space(preset)
+    mixed_workload(sp)
+    assert {type(k) for k in sp._cache} == {tuple}
+    assert {k[0] for k in sp._cache} == {"br", "bw", "cop", "anti", "components"}
+    size = len(sp._cache)
+    before = bracket(sp, (1, 1, 2), "double").value
+    assert bracket(sp, (1, 1, 2), "double").value == before
+    assert len(sp._cache) == size
+
+
+def test_space_is_freed_without_the_cycle_collector():
+    """Cached values are term dicts that never point back at their space, so
+    refcounting alone frees a space once its last user drops it."""
+    def built(preset):
+        sp = build_space(preset)
+        mixed_workload(sp)
+        return weakref.ref(sp)
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        refs = [built(preset) for preset in CACHE_SPACES]
+        freed = [ref() is None for ref in refs]
+    finally:
+        if enabled:
+            gc.enable()
+    assert freed == [True, True]
 
 
 # ----------------------------------------------------------- (de)serialization

@@ -83,7 +83,7 @@ def oracle_symmetrizer(sp, n):
 
 def bracket_image(R, sw, cw, m):
     """Projection onto R of the left bracket word of shape sw filled with cw."""
-    return R.project_terms(_bracket_word_value(R.space, sw, cw, "left").terms, m)
+    return R.project_terms(_bracket_word_value(R.space, sw, cw, "left"), m)
 
 
 def oracle_subquotient(R, u, trunc):
@@ -133,7 +133,7 @@ def oracle_pbw(R):
         for u in words.enumerate_lyndon(R.space.dim, n):
             if len(u) != n:
                 continue
-            vec = R.project_terms(_bracket_value(R.space, u, u, "left").terms, n)
+            vec = R.project_terms(_bracket_value(R.space, u, u, "left"), n)
             if not span.contains(dict(vec)):
                 G.append(u)
                 heights[u] = None
@@ -638,6 +638,23 @@ def test_pbw_trunc_guard(qp_nichols):
     assert pbw_data(qp_nichols, trunc=3).trunc == 3
 
 
+def test_pbw_rejects_a_dependent_word_that_is_not_a_power(monkeypatch):
+    """In a restricted PBW basis (Kharchenko 1999) only a power u^h can
+    depend on the lower restricted words; any other dependence is an internal
+    error.  A zero image forced on [2][1] makes that word dependent."""
+    from lynhopf import nichols
+    image = nichols._image
+
+    def broken(R, sw, cw, m):
+        return {} if sw == ((2,), (1,)) else image(R, sw, cw, m)
+
+    monkeypatch.setattr(nichols, "_image", broken)
+    R = GradedQuotient(space_from_preset("quantum-plane"), "nichols", 4)
+    with pytest.raises(RuntimeError, match=r"degree 2: \(\(2,\), \(1,\)\) is "
+                                           r"dependent but not a power"):
+        pbw_data(R)
+
+
 def standard_lyndon_heights(R):
     """Counter of (|u|, k) over the Lyndon words u that are standard (in
     R.basis(|u|)), with k the least k >= 2, k|u| <= trunc, such that u^k is
@@ -1000,8 +1017,8 @@ def test_run_guarded_prime_handling():
 
 
 def test_run_guarded_frees_the_first_space_before_the_second_run():
-    """Cached elements point back at their space, so without clearing its
-    cache the first prime's space lived until a full collection."""
+    """Nothing in a space's cache points back at it, so no cycle keeps the
+    first prime's space alive: refcounting frees it before the second run."""
     refs, alive = [], []
 
     def compute(sp):
