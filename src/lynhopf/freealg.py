@@ -522,8 +522,8 @@ def bracket(space: BraidedSpace, u, flavor: str = "left") -> BracketLetter:
         raise ValueError(f"{u} is not a Lyndon word")
     if flavor not in ("left", "double"):
         raise ValueError(f"unknown bracket flavor {flavor!r}")
-    return BracketLetter(u, flavor,
-                         TensorElement(space, _bracket_value(space, u, u, flavor)))
+    return BracketLetter(u, flavor, TensorElement(
+        space, dict(_bracket_value(space, u, u, flavor))))
 
 
 def bracket_word(space: BraidedSpace, sw, flavor: str = "left") -> TensorElement:
@@ -531,7 +531,8 @@ def bracket_word(space: BraidedSpace, sw, flavor: str = "left") -> TensorElement
     sw = words.validate_superword(sw, monotonic=True)
     for f in sw:
         words.validate_word(f, space.dim)
-    return TensorElement(space, _bracket_word_value(space, sw, words.concat(sw), flavor))
+    return TensorElement(space, dict(
+        _bracket_word_value(space, sw, words.concat(sw), flavor)))
 
 
 @_cached("bw")
@@ -550,8 +551,8 @@ def bracket_element(space: BraidedSpace, w, flavor: str = "left") -> TensorEleme
     """The bracketing of an arbitrary word: bracket letters along its
     Chen-Fox-Lyndon factorization, multiplied in order."""
     w = words.validate_word(w, space.dim)
-    return TensorElement(space, _bracket_word_value(
-        space, words.cfl_factorize(w), w, flavor))
+    return TensorElement(space, dict(_bracket_word_value(
+        space, words.cfl_factorize(w), w, flavor)))
 
 
 def leading_vector(x: TensorElement) -> tuple:

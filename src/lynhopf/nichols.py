@@ -1,11 +1,15 @@
 """Graded quotients of the tensor algebra and their Hilbert-series data.
 
-Covers Nichols algebras (degreewise image of the quantum symmetrizer; the
-symmetrizer itself stays as a public reference), user-presented quotients and
-free ones, every degree kept the same way over V ox B_{n-1}: one kernel from
-the skew-derivation recursion (Nichols) or one rref (presented).  Plus the PBW
-generator and height extraction, the per-Lyndon-word subquotient series, and
-the factorization and nonnegativity checks.
+Covers Nichols algebras, user-presented quotients and free ones, every
+degree kept the same way over V ox B_{n-1}: one kernel from the
+skew-derivation recursion (Nichols) or one rref (presented).  `symmetrizer`
+builds the degree-n quantum symmetrizer, whose kernel is that degree's
+Nichols relations; no quotient calls it.  Plus the PBW generator and height
+extraction, the per-Lyndon-word subquotient series, and the factorization
+and nonnegativity checks.  Over a diagonal braiding those scans work inside
+R: a bracket word's image is the product in R of its letters' images, each
+from pi[v].pi[w] at the Shirshov split; block braidings build bracket words
+in TV and project them.
 """
 
 from __future__ import annotations
@@ -15,9 +19,9 @@ import os
 from dataclasses import dataclass
 
 from . import words
-from .freealg import BraidedSpace, TensorElement, _apply_slot
-# One bracket recursion serves coordinate and block-alphabet shapes; here its
-# shapes are block words (coordinate words when the braiding is diagonal).
+from .freealg import BraidedSpace, TensorElement, _apply_slot, _concat
+# The TV bracket recursion over block-alphabet shapes, for block braidings;
+# bench/tracing.py wraps both names.
 from .freealg import _bracket_value as _block_bracket
 from .freealg import _bracket_word_value as _block_bracket_word
 from .freealg import build_space, coproduct, source_requirements
@@ -154,6 +158,7 @@ class GradedQuotient:
         self._dims: list = [1, space.dim]
         self._basis: list = [((),), tuple((a,) for a in letters)]
         self._nf: dict = {(): {(): one}}
+        self._letters: dict = {}  # Lyndon word u -> pi[u] (diagonal braidings)
         self._free_through = 1  # no relation rows in degrees <= this
         # D_n on the standard words, in (standard word, letter) coordinates
         self._derivation = {1: {(a,): {((), a): one} for a in letters}}
@@ -238,6 +243,30 @@ class GradedQuotient:
                 mu = self._nf.get(q)
                 field.axpy(hit, {q: field.one} if mu is None else mu, c)
             self._nf[w] = hit
+        return hit
+
+    def _times(self, x: dict, y: dict, n: int) -> dict:
+        """Product in R of coordinates x and y whose degrees add up to n."""
+        return self.project_terms(_concat(self.space.field, x, y), n)
+
+    def _bracket_image(self, u: tuple) -> dict:
+        """pi[u] for a Lyndon word u over a diagonal braiding, memoized.  pi
+        is an algebra map and the twist of [v][w] is one scalar f, so at the
+        Shirshov split u = vw, pi[u] = pi[v].pi[w] - f.pi[w].pi[v]."""
+        hit = self._letters.get(u)
+        if hit is None:
+            field = self.space.field
+            if len(u) == 1:
+                hit = {u: field.one}
+            else:
+                v, w = words.shirshov(u)
+                a, b = self._bracket_image(v), self._bracket_image(w)
+                hit = {}
+                if a and b:
+                    [f] = self.space.braid_words(v, w, True).values()
+                    hit = field.axpy(self._times(a, b, len(u)),
+                                     self._times(b, a, len(u)), field.neg(f))
+            self._letters[u] = hit
         return hit
 
     def _check_coideal(self, n: int):
@@ -342,8 +371,17 @@ class NonnegReport:
 
 
 def _image(R: GradedQuotient, sw: tuple, cw: tuple, m: int) -> dict:
-    """Coordinates in R_m of the bracket word of shape sw on the word cw."""
-    return R.project_terms(_block_bracket_word(R.space, sw, cw, "left"), m)
+    """Coordinates in R_m of the bracket word of shape sw on the word cw, as
+    a fresh dict.  Over a diagonal braiding (cw is then the concatenation of
+    sw) it is the product in R of the letters' images; block braidings
+    project the bracket word built in TV."""
+    if not R.space.is_diagonal:
+        return R.project_terms(_block_bracket_word(R.space, sw, cw, "left"), m)
+    out, k = dict(R._bracket_image(sw[0])), len(sw[0])
+    for u in sw[1:]:
+        k += len(u)
+        out = R._times(out, R._bracket_image(u), k)
+    return out
 
 
 def pbw_data(R: GradedQuotient, trunc: int | None = None) -> PBWData:
@@ -356,35 +394,39 @@ def pbw_data(R: GradedQuotient, trunc: int | None = None) -> PBWData:
     later restricted words (in this degree they only drop u^h, which adds
     nothing to the span).  Then a Lyndon word u of degree n is accepted when
     the image of its bracket is independent of that span; candidates are
-    scanned lexicographically.
+    scanned lexicographically.  Images are products in R of the letters'
+    images (see _image).  A degree with no relations (R_n = T_n) accepts every
+    Lyndon word of length n and builds nothing: each bracket word is its
+    concatenation plus lex-larger words (Kharchenko 1999), and distinct
+    restricted words have distinct concatenations (Chen-Fox-Lyndon).
     """
     if not R.space.is_diagonal:
         raise NotImplementedError(
             "PBW extraction is only implemented for diagonal braidings")
     N = R._degree(trunc)
     lyndon = words.enumerate_lyndon(R.space.dim, max(N, 1))
-    G: list = []
-    heights: dict = {}
+    heights: dict = {}  # accepted generator -> height, None while it has none
     for n in range(1, N + 1):
         _check_cap(R.space, n, R.cap)
-        powers = {(u,) * (n // len(u)): u for u in G
-                  if heights[u] is None and n % len(u) == 0 and n > len(u)}
+        R._ensure(n)
+        candidates = [u for u in lyndon if len(u) == n]
+        if n <= R._free_through:
+            heights.update(dict.fromkeys(candidates))
+            continue
+        powers = {(u,) * (n // len(u)): u for u, h in heights.items()
+                  if h is None and n % len(u) == 0 and n > len(u)}
         caps = {u: h - 1 for u, h in heights.items() if h is not None}
         span = Eliminator(R.space.field)
-        for sw in sorted(words.monotonic_superwords(G, n, caps)):
+        for sw in sorted(words.monotonic_superwords(heights, n, caps)):
             if span.insert(_image(R, sw, words.concat(sw), n)):
                 continue
             if sw not in powers:  # restricted PBW theorem (Kharchenko 1999)
                 raise RuntimeError(f"degree {n}: {sw} is dependent but not a power")
             heights[powers[sw]] = len(sw)
-        for u in lyndon:
-            if len(u) != n:
-                continue
-            vec = R.project_terms(_block_bracket(R.space, u, u, "left"), n)
-            if span.insert(vec):
-                G.append(u)
+        for u in candidates:
+            if span.insert(_image(R, (u,), u, n)):
                 heights[u] = None
-    gens = tuple(PBWGenerator(u, heights[u]) for u in sorted(G))
+    gens = tuple(PBWGenerator(u, h) for u, h in sorted(heights.items()))
     return PBWData(N, gens)
 
 
@@ -402,20 +444,36 @@ def _subquotient_counts(R: GradedQuotient, m: int, stop=None) -> dict:
     u with |u| dividing m, in one descending sweep: {u: coefficient}.
 
     The rows are the monotonic bracket words of degree m, one per word by
-    Chen-Fox-Lyndon uniqueness, sorted by last factor, descending.  The ideal
-    part of u, the rows sw != u^k with last(sw) >= u, only grows as u
-    decreases.  So the sweep walks u downwards, first inserting every row with
-    last factor >= u that is not a power (powers enter at their own step),
-    then counting how many images of u^k raise the rank; those stay in the
-    span for the smaller words.  With `stop` the sweep ends after that word's
-    step; otherwise it has inserted every bracket word of degree m, whose
-    images span R_m.  Where R_m = 0 every count is 0, and no row is built.
+    Chen-Fox-Lyndon uniqueness, sorted by last factor, descending; over a
+    diagonal braiding only those over the live letters (Lyndon words with
+    pi[u] != 0), since any other has image 0.  The ideal part of u, the rows
+    sw != u^k with last(sw) >= u, only grows as u decreases.  So the sweep
+    walks u downwards, first inserting every row with last factor >= u that
+    is not a power (powers enter at their own step), then counting how many
+    images of u^k raise the rank; those stay in the span for the smaller
+    words.  With `stop` the sweep ends after that word's step; otherwise it
+    has inserted every bracket word of degree m, whose images span R_m.
+    Two kinds of degree build no row: where R_m = 0 every count is 0, and
+    where a diagonal degree has no relations (R_m = T_m) every count is 1,
+    because each bracket word is its concatenation plus lex-larger words
+    (Kharchenko 1999) and the rows have distinct concatenations.
     """
     part = R.space.component_partition()
     _check_cap(R.space, m, R.cap)
     lyndon = words.enumerate_lyndon(len(part), m)
-    rows = sorted(words.monotonic_superwords(lyndon, m), key=lambda sw: sw[-1],
-                  reverse=True) if R.dim(m) else ()
+    dim = R.dim(m)  # builds degree m, so R._free_through covers it
+    diagonal = R.space.is_diagonal
+    counts = {}
+    if not dim or diagonal and m <= R._free_through:
+        for u in reversed(lyndon):
+            if m % len(u) == 0:
+                counts[u] = min(dim, 1)
+                if u == stop:
+                    break
+        return counts
+    live = {u for u in lyndon if not diagonal or R._bracket_image(u)}
+    rows = sorted(words.monotonic_superwords(live, m), key=lambda sw: sw[-1],
+                  reverse=True)
     span = Eliminator(R.space.field)
 
     def insert(sw) -> int:
@@ -423,7 +481,6 @@ def _subquotient_counts(R: GradedQuotient, m: int, stop=None) -> dict:
         return sum(span.insert(_image(R, sw, cw, m))
                    for cw in itertools.product(*slots))
 
-    counts = {}
     i = 0
     for u in reversed(lyndon):
         if m % len(u):
@@ -433,13 +490,13 @@ def _subquotient_counts(R: GradedQuotient, m: int, stop=None) -> dict:
             i += 1
             if sw[0] != sw[-1]:
                 insert(sw)
-        counts[u] = insert((u,) * (m // len(u))) if rows else 0
+        counts[u] = insert((u,) * (m // len(u))) if u in live else 0
         if u == stop:
             return counts
-    if span.rank != R.dim(m):
+    if span.rank != dim:
         raise RuntimeError(
             f"degree {m}: the bracket words span rank {span.rank}, "
-            f"not dim R_{m} = {R.dim(m)}")
+            f"not dim R_{m} = {dim}")
     return counts
 
 

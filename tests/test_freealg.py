@@ -634,6 +634,20 @@ def test_space_is_freed_without_the_cycle_collector():
     assert freed == [True, True]
 
 
+def test_public_brackets_do_not_share_the_cache():
+    """bracket, bracket_word and bracket_element wrap copies of the memoized
+    term dicts: writing into a result changes no later bracket."""
+    sp = space_from_preset("cartan-A2")
+    true = bracket(space_from_preset("cartan-A2"), (1, 2)).value.terms
+    assert true == {(1, 2): 1, (2, 1): sp.field.neg(sp.field.inv(sp.q[1][0]))}
+    bracket(sp, (1, 2)).value.terms[(1, 2)] = 5
+    bracket_word(sp, ((1, 2),)).terms[(2, 1)] = 7
+    bracket_element(sp, (1, 2)).terms.clear()
+    assert bracket(sp, (1, 2)).value.terms == true
+    assert bracket_word(sp, ((1, 2),)).terms == true
+    assert bracket_element(sp, (1, 2)).terms == true
+
+
 # ----------------------------------------------------------- (de)serialization
 
 def test_space_json_round_trip(field):

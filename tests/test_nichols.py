@@ -689,6 +689,32 @@ def test_pbw_generators_counted_by_standard_lyndon_words(name):
     assert counts == standard_lyndon_heights(R)
 
 
+@pytest.mark.parametrize("preset", ["cartan-A2", "cartan-A2(rationals=1)"])
+def test_generic_cartan_a2_known_answers_at_trunc_14(preset):
+    """U_q^+(sl_3) at generic q (Kharchenko 1999; Lalonde-Ram 1995): the
+    PBW generators are 1, 12 and 2 with no heights, their subquotient series
+    are 1/(1-t), 1/(1-t^2) and 1/(1-t), and every other Lyndon word's is 1."""
+    N = 14
+    R = GradedQuotient(space_from_preset(preset), "nichols", N)
+    assert pbw_data(R).generators == (PBWGenerator((1,), None),
+                                      PBWGenerator((1, 2), None),
+                                      PBWGenerator((2,), None))
+
+    def geometric(step):
+        return tuple(int(n % step == 0) for n in range(N + 1))
+
+    rep = verify_factorization(R)
+    assert rep.ok
+    assert [f.word for f in rep.factors] == list(words.enumerate_lyndon(2, N))
+    want = {(1,): geometric(1), (1, 2): geometric(2), (2,): geometric(1)}
+    for f in rep.factors:
+        assert f.series.coeffs == want.get(f.word, geometric(N + 1)), f.word
+    # 1/((1-t)^2 (1-t^2)): n // 2 + 1 ways to pick the power of t^2, each
+    # with n - 2k + 1 ways to split the rest between the two 1/(1-t)
+    assert rep.lhs.coeffs == tuple(sum(n - 2 * k + 1 for k in range(n // 2 + 1))
+                                   for n in range(N + 1))
+
+
 # ------------------------------------------------------- subquotient series
 
 def test_subquotient_free_super_letter(field):
@@ -825,9 +851,97 @@ def test_sweep_matches_per_word_oracle_rack(rack_nichols):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_pbw_matches_per_candidate_oracle(field, d, trunc, seed):
     for sp in (random_diagonal(field, d, random.Random(3000 * d + seed)),
-               random_root_diagonal(d, random.Random(4000 * d + seed))):
-        R = GradedQuotient(sp, "nichols", trunc)
-        assert pbw_data(R).generators == oracle_pbw(R)
+               random_root_diagonal(d, random.Random(4000 * d + seed)),
+               random_rational_diagonal(d, random.Random(5000 * d + seed),
+                                        roots=seed % 2 == 1)):
+        for kind in ("nichols", "free"):
+            R = GradedQuotient(sp, kind, trunc)
+            assert pbw_data(R).generators == oracle_pbw(R)
+
+
+def b2_rational():
+    """B2 at q = 2 over Q: q11 = q^2, q22 = q, q12 q21 = q^-2.  Its Serre
+    relations have degrees 3 and 4."""
+    return BraidedSpace(RationalField(), 2, "diagonal",
+                        [[Fraction(4), Fraction(1, 4)], [Fraction(1), Fraction(2)]])
+
+
+def named_diagonal(name):
+    """A preset, B2 at q = 2 over Q ("B2-q"), or a seeded space: sixth
+    roots of unity over F_10009 ("roots-d-seed") or +-1 over Q
+    ("rational-roots-d-seed")."""
+    if name == "B2-q":
+        return b2_rational()
+    if name.startswith("rational-roots-"):
+        d, seed = map(int, name.split("-")[2:])
+        return random_rational_diagonal(d, random.Random(seed), roots=True)
+    if name.startswith("roots-"):
+        d, seed = map(int, name.split("-")[1:])
+        return random_root_diagonal(d, random.Random(6000 * d + seed))
+    return space_from_preset(name)
+
+
+DEGREE_THREE_CASES = ("cartan-A2", "cartan-A2(rationals=1)", "cartan-A2(order=3)",
+                      "cartan-A2(order=4)", "B2-q", "roots-2-0", "roots-2-2",
+                      "roots-3-3", "roots-3-7")
+
+
+@pytest.mark.parametrize("name", DEGREE_THREE_CASES)
+def test_pbw_and_sweep_match_oracles_on_quotients_free_through_degree_two(name):
+    """The quotient by the degree-3 Nichols relations of a space that has
+    none in degree 2: they are primitive, so they generate a coideal, and
+    degrees 1 and 2 have no relations while degree 3 has some."""
+    sp = named_diagonal(name)
+    trunc = 7 if sp.dim == 2 else 5
+    assert not symmetrizer_pivots(sp, 2)
+    rels = [TensorElement(sp, dict(row)) for row in symmetrizer_pivots(sp, 3).values()]
+    R = GradedQuotient(sp, "presented", trunc, relations=rels)
+    R.dim(3)
+    assert R._free_through == 2
+    assert pbw_data(R).generators == oracle_pbw(R)
+    check_sweep_against_oracle(R)
+
+
+IMAGE_CASES = ("cartan-A2(order=3)", "cartan-A2(rationals=1)", "quantum-plane",
+               "B2-q", "roots-2-1", "roots-2-5", "roots-3-2", "rational-roots-2-3")
+
+
+@pytest.mark.parametrize("name", IMAGE_CASES)
+def test_images_in_r_match_projected_tv_bracket_words(name):
+    """Every monotonic bracket word's image computed inside R (products of
+    the letters' images) equals the projection of the word built in TV."""
+    from lynhopf import nichols
+    sp = named_diagonal(name)
+    trunc = 6 if sp.dim == 2 else 4
+    R = GradedQuotient(sp, "nichols", trunc)
+    lyndon = words.enumerate_lyndon(sp.dim, trunc)
+    for m in range(1, trunc + 1):
+        for sw in words.monotonic_superwords(lyndon, m):
+            cw = words.concat(sw)
+            assert nichols._image(R, sw, cw, m) == bracket_image(R, sw, cw, m), sw
+    assert any(not v for v in R._letters.values())
+
+
+DIAGONAL_PRESETS = ("quantum-plane", "quantum-plane(order=3)", "cartan-A2",
+                    "cartan-A2(order=3)", "cartan-A2(order=4)",
+                    "cartan-A2(rationals=1)")
+
+
+@pytest.mark.parametrize("preset", DIAGONAL_PRESETS)
+@pytest.mark.parametrize("kind", ["nichols", "free"])
+def test_diagonal_scans_build_no_bracket_word_in_tv(monkeypatch, preset, kind):
+    """Over a diagonal braiding the PBW scan and the factorization sweep
+    work inside R; the TV bracket recursion stays with the oracles."""
+    from lynhopf import nichols
+
+    def never(*args):
+        raise AssertionError("a bracket was built in TV")
+
+    monkeypatch.setattr(nichols, "_block_bracket", never)
+    monkeypatch.setattr(nichols, "_block_bracket_word", never)
+    R = GradedQuotient(space_from_preset(preset), kind, 6)
+    assert pbw_data(R).generators == oracle_pbw(R)
+    check_sweep_against_oracle(R)
 
 
 def test_pbw_matches_per_candidate_oracle_presets(qp_nichols, cartan_three):
@@ -857,26 +971,48 @@ def test_pbw_and_sweep_match_oracles_on_presented_quotient(qp_nichols):
 ])
 def test_sweep_builds_no_bracket_word_where_the_degree_is_zero(
         monkeypatch, preset, trunc, zero):
+    """A degree with R_m = 0 builds nothing.  Block braidings build one TV
+    bracket word per coordinate word in every other degree.  Diagonal ones
+    build no TV bracket word at all, compute no image in a degree without
+    relations either, and elsewhere one image per monotonic super-word over
+    the live letters (the Lyndon words whose bracket is nonzero in R)."""
     from lynhopf import nichols
     R = GradedQuotient(space_from_preset(preset), "nichols", trunc)
     assert [m for m in range(trunc + 1) if R.dim(m) == 0] == zero
-    degrees = []
-    counted = nichols._block_bracket_word
+    free = [1] if preset == "s3-rack" else [1, 2]  # degrees with no relations
+    assert [m for m in range(1, trunc + 1) if m <= R._free_through] == free
+    built, imaged = [], []
+    block_bracket_word, image = nichols._block_bracket_word, nichols._image
 
-    def counting(space, sw, cw, flavor):
-        degrees.append(words.superword_degree(sw))
-        return counted(space, sw, cw, flavor)
+    def counting_tv(space, sw, cw, flavor):
+        built.append(words.superword_degree(sw))
+        return block_bracket_word(space, sw, cw, flavor)
 
-    monkeypatch.setattr(nichols, "_block_bracket_word", counting)
+    def counting_image(R, sw, cw, m):
+        imaged.append(m)
+        return image(R, sw, cw, m)
+
+    monkeypatch.setattr(nichols, "_block_bracket_word", counting_tv)
+    monkeypatch.setattr(nichols, "_image", counting_image)
     rep = verify_factorization(R)
     assert rep.ok
-    assert degrees and not set(degrees) & set(zero)
-    # one bracket word per coordinate word in each degree with R_m != 0
-    assert {m: degrees.count(m) for m in set(degrees)} == {
-        m: R.space.dim ** m for m in range(1, trunc + 1) if R.dim(m)}
-    degrees.clear()
+    if R.space.is_diagonal:
+        assert built == []
+        live = [u for u in words.enumerate_lyndon(R.space.dim, trunc)
+                if R.project_terms(_bracket_value(R.space, u, u, "left"), len(u))]
+        assert Counter(imaged) == {
+            m: len(list(words.monotonic_superwords(live, m)))
+            for m in range(1, trunc + 1) if R.dim(m) and m not in free}
+        assert all(R.dim(len(u)) for u in R._letters)
+    else:
+        assert imaged == built
+        assert Counter(built) == {
+            m: R.space.dim ** m for m in range(1, trunc + 1) if R.dim(m)}
+    seen = set(imaged)
+    imaged.clear()
     assert [subquotient_series(R, f.word) for f in rep.factors] == list(rep.factors)
-    assert degrees and not set(degrees) & set(zero)
+    assert imaged and set(imaged) <= seen
+    assert built == [] if R.space.is_diagonal else set(built) <= seen
     monkeypatch.undo()
     for f in rep.factors:
         assert f.series.coeffs == oracle_subquotient(R, f.word, trunc), f.word
@@ -1036,3 +1172,29 @@ def test_run_guarded_frees_the_first_space_before_the_second_run():
             gc.enable()
     assert [g.height for g in data.generators] == [3, 3, 3]
     assert alive == [False]
+
+
+def test_run_guarded_frees_the_first_quotient_and_its_images():
+    """The quotient's memos (normal forms, bracket images in R) hold plain
+    dicts, so with the collector off the first prime's quotient and space
+    are freed by refcounting before the second run starts."""
+    refs, alive = [], []
+
+    def compute(sp):
+        if refs:
+            alive.append([ref() is not None for ref in refs[-1]])
+        R = GradedQuotient(sp, "nichols", 8)
+        result = pbw_data(R), verify_factorization(R)
+        assert R._letters and R._nf
+        refs.append((weakref.ref(sp), weakref.ref(R)))
+        return result
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        data, rep = run_guarded("cartan-A2(order=3)", 8, compute)
+    finally:
+        if enabled:
+            gc.enable()
+    assert [g.height for g in data.generators] == [3, 3, 3] and rep.ok
+    assert alive == [[False, False]]
