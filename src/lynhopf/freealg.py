@@ -353,10 +353,6 @@ class TensorElement(_SparseElement):
             raise ValueError("element is zero or inhomogeneous")
         return degs.pop()
 
-    def homogeneous_component(self, n: int) -> "TensorElement":
-        return TensorElement(self.space,
-                             {w: c for w, c in self.terms.items() if len(w) == n})
-
     def support(self) -> list:
         return sorted(self.terms, key=lambda w: (len(w), w))
 

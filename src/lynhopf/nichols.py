@@ -160,8 +160,8 @@ class GradedQuotient:
         self._nf: dict = {(): {(): one}}
         self._letters: dict = {}  # Lyndon word u -> pi[u] (diagonal braidings)
         self._free_through = 1  # no relation rows in degrees <= this
-        # D_n on the standard words, in (standard word, letter) coordinates
-        self._derivation = {1: {(a,): {((), a): one} for a in letters}}
+        # (n, D_n), n the latest degree, in (standard word, letter) coordinates
+        self._derivation = (1, {(a,): {((), a): one} for a in letters})
         if relations:
             for n in range(2, trunc + 1):
                 self._check_coideal(n)
@@ -197,7 +197,8 @@ class GradedQuotient:
         _check_cap(self.space, n, self.cap)
         space = self.space
         field = space.field
-        prev = self._derivation[n - 1]
+        prev_n, prev = self._derivation
+        assert prev_n == n - 1, f"degree {n} built after degree {prev_n}"
         columns = {}
         for a in range(1, space.dim + 1):
             for b in self.basis(n - 1):
@@ -212,8 +213,8 @@ class GradedQuotient:
                                      in self._normal_form(word).items()}, c)
                 columns[(a,) + b] = col
         rows = kernel(field, columns)
-        self._derivation[n] = {w: col for w, col in columns.items()
-                               if w not in rows}
+        self._derivation = (n, {w: col for w, col in columns.items()
+                                if w not in rows})
         return rows
 
     def _presented_rows(self, n: int) -> dict:
@@ -404,10 +405,9 @@ def pbw_data(R: GradedQuotient, trunc: int | None = None) -> PBWData:
         raise NotImplementedError(
             "PBW extraction is only implemented for diagonal braidings")
     N = R._degree(trunc)
-    lyndon = words.enumerate_lyndon(R.space.dim, max(N, 1))
+    lyndon = _lyndon_table(R, R.space.dim, range(1, N + 1))
     heights: dict = {}  # accepted generator -> height, None while it has none
     for n in range(1, N + 1):
-        _check_cap(R.space, n, R.cap)
         R._ensure(n)
         candidates = [u for u in lyndon if len(u) == n]
         if n <= R._free_through:
@@ -439,9 +439,18 @@ def pbw_series(data: PBWData, trunc: int | None = None) -> PowerSeries:
     return out
 
 
-def _subquotient_counts(R: GradedQuotient, m: int, stop=None) -> dict:
-    """Degree-m coefficients of the subquotient series of every Lyndon word
-    u with |u| dividing m, in one descending sweep: {u: coefficient}.
+def _lyndon_table(R: GradedQuotient, D: int, degrees: range) -> list:
+    """Lyndon words over D letters up to the last of `degrees`, in lex order,
+    enumerated once every degree has passed the cap, in ascending order."""
+    for m in degrees:
+        _check_cap(R.space, m, R.cap)
+    return words.enumerate_lyndon(D, degrees[-1]) if degrees else []
+
+
+def _sweep(R: GradedQuotient, m: int, lyndon):
+    """Degree-m coefficients of the subquotient series of the Lyndon words u
+    in `lyndon` (a _lyndon_table through degree >= m, so the cap holds) with
+    |u| dividing m, in one sweep: yields (u, coefficient), largest u first.
 
     The rows are the monotonic bracket words of degree m, one per word by
     Chen-Fox-Lyndon uniqueness, sorted by last factor, descending; over a
@@ -451,27 +460,23 @@ def _subquotient_counts(R: GradedQuotient, m: int, stop=None) -> dict:
     walks u downwards, first inserting every row with last factor >= u that
     is not a power (powers enter at their own step), then counting how many
     images of u^k raise the rank; those stay in the span for the smaller
-    words.  With `stop` the sweep ends after that word's step; otherwise it
-    has inserted every bracket word of degree m, whose images span R_m.
-    Two kinds of degree build no row: where R_m = 0 every count is 0, and
-    where a diagonal degree has no relations (R_m = T_m) every count is 1,
-    because each bracket word is its concatenation plus lex-larger words
-    (Kharchenko 1999) and the rows have distinct concatenations.
+    words.  A caller may stop reading at its own u; one that reads every
+    word has had every bracket word of degree m inserted, and their images
+    must span R_m.  Two kinds of degree build no row: where R_m = 0 every
+    count is 0, and where a diagonal degree has no relations (R_m = T_m)
+    every count is 1, because each bracket word is its concatenation plus
+    lex-larger words (Kharchenko 1999) and the rows have distinct
+    concatenations.
     """
     part = R.space.component_partition()
-    _check_cap(R.space, m, R.cap)
-    lyndon = words.enumerate_lyndon(len(part), m)
     dim = R.dim(m)  # builds degree m, so R._free_through covers it
     diagonal = R.space.is_diagonal
-    counts = {}
+    steps = [u for u in reversed(lyndon) if m % len(u) == 0]
     if not dim or diagonal and m <= R._free_through:
-        for u in reversed(lyndon):
-            if m % len(u) == 0:
-                counts[u] = min(dim, 1)
-                if u == stop:
-                    break
-        return counts
-    live = {u for u in lyndon if not diagonal or R._bracket_image(u)}
+        yield from ((u, min(dim, 1)) for u in steps)
+        return
+    live = {u for u in lyndon
+            if len(u) <= m and (not diagonal or R._bracket_image(u))}
     rows = sorted(words.monotonic_superwords(live, m), key=lambda sw: sw[-1],
                   reverse=True)
     span = Eliminator(R.space.field)
@@ -482,22 +487,17 @@ def _subquotient_counts(R: GradedQuotient, m: int, stop=None) -> dict:
                    for cw in itertools.product(*slots))
 
     i = 0
-    for u in reversed(lyndon):
-        if m % len(u):
-            continue
+    for u in steps:
         while i < len(rows) and rows[i][-1] >= u:
             sw = rows[i]
             i += 1
             if sw[0] != sw[-1]:
                 insert(sw)
-        counts[u] = insert((u,) * (m // len(u))) if u in live else 0
-        if u == stop:
-            return counts
+        yield u, insert((u,) * (m // len(u))) if u in live else 0
     if span.rank != dim:
         raise RuntimeError(
             f"degree {m}: the bracket words span rank {span.rank}, "
             f"not dim R_{m} = {dim}")
-    return counts
 
 
 def subquotient_series(R: GradedQuotient, u, trunc: int | None = None) -> SubquotientSeries:
@@ -507,39 +507,43 @@ def subquotient_series(R: GradedQuotient, u, trunc: int | None = None) -> Subquo
     Words live over the alphabet of braiding-stable blocks (the coordinate
     alphabet when the braiding is diagonal).  In each degree k|u| the
     coefficient is the number of bracket images of u^k staying independent
-    of the ideal part; for one-dimensional blocks it is 0 or 1.
+    of the ideal part; for one-dimensional blocks it is 0 or 1.  Each
+    degree's sweep is read only down to u.
     """
     D = len(R.space.component_partition())
     u = words.validate_word(u, D)
     if not words.is_lyndon(u):
         raise ValueError(f"{u} is not a Lyndon word")
     N = R._degree(trunc)
-    coeffs = [0] * (N + 1)
-    coeffs[0] = 1
-    for m in range(len(u), N + 1, len(u)):
-        coeffs[m] = _subquotient_counts(R, m, stop=u)[u]
+    coeffs = [1] + [0] * N
+    degrees = range(len(u), N + 1, len(u))
+    lyndon = _lyndon_table(R, D, degrees)
+    for m in degrees:
+        coeffs[m] = next(c for w, c in _sweep(R, m, lyndon) if w == u)
     return SubquotientSeries(u, PowerSeries(tuple(coeffs)))
 
 
 def verify_factorization(R: GradedQuotient, trunc: int | None = None) -> FactorizationReport:
     """Compare hilbert_series with the product of all subquotient series.
 
-    One sweep per degree yields every factor's coefficient of that degree
-    and checks that the bracket words span R_m.
+    One sweep per degree, over one Lyndon table, yields every factor's
+    coefficient of that degree and checks that the bracket words span R_m.
+    Factors equal to 1 share one series and are not multiplied.
     """
     N = R._degree(trunc)
     lhs = R.hilbert_series(N)
     D = len(R.space.component_partition())
-    coeffs = {u: [1] + [0] * N
-              for u in words.enumerate_lyndon(D, max(N, 1)) if len(u) <= N}
+    lyndon = _lyndon_table(R, D, range(1, N + 1))
+    coeffs = {u: [1] + [0] * N for u in lyndon}
     for m in range(1, N + 1):
-        for u, c in _subquotient_counts(R, m).items():
+        for u, c in _sweep(R, m, lyndon):
             coeffs[u][m] = c
-    factors = tuple(SubquotientSeries(u, PowerSeries(tuple(c)))
-                    for u, c in coeffs.items())
-    rhs = PowerSeries.one(N)
+    one = rhs = PowerSeries.one(N)
+    factors = tuple(SubquotientSeries(u, PowerSeries(tuple(c)) if any(c[1:])
+                                      else one) for u, c in coeffs.items())
     for sq in factors:
-        rhs = rhs * sq.series
+        if sq.series is not one:
+            rhs = rhs * sq.series
     return FactorizationReport(lhs == rhs, N, lhs, rhs, factors)
 
 

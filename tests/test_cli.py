@@ -2,6 +2,7 @@
 
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -250,6 +251,32 @@ def test_output_is_deterministic(capsys):
         assert code == 0
         outs.add(out)
     assert len(outs) == 1
+
+
+DATA = Path(__file__).resolve().parent / "data"
+
+# recorded stdout of each command, in tests/data/<name>.out
+PINNED = {
+    "factorize-full-cartan-A2-trunc8": [
+        "nichols", "factorize", "--full", "--space", "preset:cartan-A2",
+        "--trunc", "8"],
+    "factorize-full-cartan-A2-order3-trunc8": [
+        "nichols", "factorize", "--full", "--space",
+        "preset:cartan-A2(order=3)", "--trunc", "8"],
+    "factorize-full-s3-rack-trunc5": [
+        "nichols", "factorize", "--full", "--space", "preset:s3-rack",
+        "--trunc", "5"],
+    "subquotient-12-cartan-A2-order3-trunc8": [
+        "nichols", "subquotient", "--word", "12", "--space",
+        "preset:cartan-A2(order=3)", "--trunc", "8"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_sweep_output_is_pinned(capsys, name):
+    code, out, err = run(capsys, PINNED[name])
+    assert (code, err) == (0, "")
+    assert out.encode() == (DATA / f"{name}.out").read_bytes()
 
 
 # -------------------------------------------------------------- error paths

@@ -847,6 +847,70 @@ def test_sweep_matches_per_word_oracle_rack(rack_nichols):
     check_sweep_against_oracle(rack_nichols)
 
 
+def test_factorization_enumerates_once_and_multiplies_nontrivial_factors(
+        monkeypatch):
+    """Every degree's sweep reads one Lyndon table, and the factors equal to
+    1 share one series that never enters the product."""
+    R = GradedQuotient(space_from_preset("cartan-A2"), "nichols", 10)
+    tables, products = [], []
+    enumerate_lyndon, mul = words.enumerate_lyndon, PowerSeries.__mul__
+
+    def counting_enumerate(d, n):
+        tables.append((d, n))
+        return enumerate_lyndon(d, n)
+
+    def counting_mul(a, b):
+        products.append(b)
+        return mul(a, b)
+
+    monkeypatch.setattr(words, "enumerate_lyndon", counting_enumerate)
+    monkeypatch.setattr(PowerSeries, "__mul__", counting_mul)
+    rep = verify_factorization(R)
+    assert rep.ok
+    assert tables == [(2, 10)]
+    one = PowerSeries.one(10)
+    assert [f.word for f in rep.factors if f.series != one] == [(1,), (1, 2), (2,)]
+    assert products == [f.series for f in rep.factors if f.series != one]
+    assert len({id(f.series) for f in rep.factors if f.series == one}) == 1
+
+
+def test_subquotient_reads_each_sweep_down_to_its_word(monkeypatch):
+    """The sweep starts at the largest word, 2, so the subquotient series of
+    2 asks for the image of [2]^m alone in each degree m with relations."""
+    from lynhopf import nichols
+    R = GradedQuotient(space_from_preset("cartan-A2"), "nichols", 8)
+    shapes = []
+    image = nichols._image
+
+    def recording_image(R, sw, cw, m):
+        shapes.append(sw)
+        return image(R, sw, cw, m)
+
+    monkeypatch.setattr(nichols, "_image", recording_image)
+    assert subquotient_series(R, (2,)).series.coeffs == (1,) * 9
+    assert R._free_through == 2
+    assert shapes == [((2,),) * m for m in range(3, 9)]
+
+
+def test_sweep_checks_the_span_when_read_to_the_end(monkeypatch):
+    """A zero image forced on [2][1] leaves R_2 of quantum-plane unspanned:
+    verify_factorization reads every sweep to the end and raises, while a
+    subquotient series stops at its own word, here the last one, and does
+    not check."""
+    from lynhopf import nichols
+    image = nichols._image
+
+    def broken(R, sw, cw, m):
+        return {} if sw == ((2,), (1,)) else image(R, sw, cw, m)
+
+    monkeypatch.setattr(nichols, "_image", broken)
+    R = GradedQuotient(space_from_preset("quantum-plane"), "nichols", 4)
+    assert subquotient_series(R, (1,)).series.coeffs == (1, 1, 0, 0, 0)
+    with pytest.raises(RuntimeError, match=r"degree 2: the bracket words span "
+                                           r"rank 0, not dim R_2 = 1"):
+        verify_factorization(R)
+
+
 @pytest.mark.parametrize("d,trunc", [(2, 7), (3, 5)])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_pbw_matches_per_candidate_oracle(field, d, trunc, seed):
@@ -1092,6 +1156,33 @@ def test_matrix_cap_argument(field):
         verify_factorization(free)
     with pytest.raises(MatrixCapExceeded, match="128"):
         subquotient_series(free, (1,))
+
+
+@pytest.mark.parametrize("entry,message", [
+    (lambda R: subquotient_series(R, (1, 2)), "degree 8 needs 256 rows"),
+    (verify_factorization, "degree 7 needs 128 rows"),
+    (pbw_data, "degree 7 needs 128 rows"),
+], ids=["subquotient_series", "verify_factorization", "pbw_data"])
+def test_cap_comes_before_the_lyndon_table(field, monkeypatch, entry, message):
+    """The first degree over the cap (for a subquotient, the first multiple
+    of |u|) raises before any Lyndon word is enumerated, so a truncation far
+    above the cap costs no long enumeration."""
+    sp = random_diagonal(field, 2, random.Random(261))
+    tables = []
+    monkeypatch.setattr(words, "enumerate_lyndon", lambda *a: tables.append(a))
+    with pytest.raises(MatrixCapExceeded, match=message):
+        entry(GradedQuotient(sp, "free", 40, cap=100))
+    assert tables == []
+
+
+def test_nichols_rows_refuse_a_skipped_degree():
+    """D_n is built from D_{n-1} alone, so building degree 3 right after
+    degree 1 is refused rather than giving a wrong kernel."""
+    R = GradedQuotient(space_from_preset("cartan-A2"), "nichols", 4)
+    with pytest.raises(AssertionError, match="degree 3 built after degree 1"):
+        R._nichols_rows(3)
+    fresh = GradedQuotient(space_from_preset("cartan-A2"), "nichols", 4)
+    assert R.hilbert_series() == fresh.hilbert_series()
 
 
 DEGREE_ENTRY_POINTS = {
