@@ -405,11 +405,13 @@ def pbw_data(R: GradedQuotient, trunc: int | None = None) -> PBWData:
         raise NotImplementedError(
             "PBW extraction is only implemented for diagonal braidings")
     N = R._degree(trunc)
-    lyndon = _lyndon_table(R, R.space.dim, range(1, N + 1))
+    by_length: dict = {}  # n -> the Lyndon words of length n, in lex order
+    for u in _lyndon_table(R, R.space.dim, range(1, N + 1)):
+        by_length.setdefault(len(u), []).append(u)
     heights: dict = {}  # accepted generator -> height, None while it has none
     for n in range(1, N + 1):
         R._ensure(n)
-        candidates = [u for u in lyndon if len(u) == n]
+        candidates = by_length.get(n, [])
         if n <= R._free_through:
             heights.update(dict.fromkeys(candidates))
             continue

@@ -7,6 +7,7 @@ operation stays at the common truncation order.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from . import words
@@ -58,12 +59,12 @@ class PowerSeries:
         self._check(other)
         n = self.trunc
         out = [0] * (n + 1)
+        nonzero = [(j, b) for j, b in enumerate(other.coeffs) if b]
         for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b:
+            if a:
+                for j, b in nonzero:
+                    if i + j > n:
+                        break
                     out[i + j] += a * b
         return PowerSeries(tuple(out))
 
@@ -122,16 +123,6 @@ def geometric_factor(step: int, trunc: int, height: int | None = None) -> PowerS
     return PowerSeries.monomials(trunc, coeff_at)
 
 
-def binomial_factor(step: int, weight: int, trunc: int) -> PowerSeries:
-    """(1 - t^step)^{-weight} expanded with exact binomial coefficients."""
-    coeff_at = {}
-    k = 0
-    while k * step <= trunc:
-        coeff_at[k * step] = math.comb(k + weight - 1, k)
-        k += 1
-    return PowerSeries.monomials(trunc, coeff_at)
-
-
 @dataclass(frozen=True)
 class IdentityReport:
     ok: bool
@@ -154,12 +145,14 @@ def lyndon_identity_check(d: int, trunc: int,
         letter_dims = (1,) * d
     if len(letter_dims) != d or any(m < 1 for m in letter_dims):
         raise ValueError("letter_dims must list a positive size per letter")
-    count_at: dict[tuple[int, int], int] = {}
-    for u in words.enumerate_lyndon(d, max(trunc, 1)):
-        wgt = 1
-        for a in u:
-            wgt *= letter_dims[a - 1]
-        count_at[len(u), wgt] = count_at.get((len(u), wgt), 0) + 1
+    lyndon = words.enumerate_lyndon(d, max(trunc, 1))
+    if len(set(letter_dims)) == 1:  # all letters of size m: dim V^u = m^|u|
+        count_at = {(ell, letter_dims[0] ** ell): cnt
+                    for ell, cnt in Counter(map(len, lyndon)).items()}
+    else:
+        dims = (None,) + tuple(letter_dims)  # 1-based letters
+        count_at = Counter((len(u), math.prod(map(dims.__getitem__, u)))
+                           for u in lyndon)
     lhs = PowerSeries.one(trunc)
     for (ell, wgt), cnt in sorted(count_at.items()):
         # (1 - wgt t^ell)^{-cnt}

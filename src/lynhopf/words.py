@@ -31,19 +31,22 @@ def validate_word(w: Sequence[int], d: int | None = None) -> Word:
 def is_lyndon(w: Word) -> bool:
     """True iff w is strictly smaller than each of its proper right factors.
 
-    The empty word is rejected (letters are the smallest Lyndon words).
+    O(|w|): w is Lyndon iff Duval's scan (Duval 1983) of the first factor
+    ends at |w| with period |w|.  The empty word is rejected (letters are the
+    smallest Lyndon words).
     """
     n = len(w)
     if n == 0:
         raise ValueError("empty word has no Lyndon property")
-    for i in range(1, n):
-        if not w < w[i:]:
-            return False
-    return True
+    i, j = 0, 1
+    while j < n and w[i] <= w[j]:
+        i = 0 if w[i] < w[j] else i + 1
+        j += 1
+    return j == n and i == 0
 
 
 def cfl_factorize(w: Word) -> SuperWord:
-    """Chen-Fox-Lyndon factorization by Duval's algorithm.
+    """Chen-Fox-Lyndon factorization by Duval's algorithm (Duval 1983), O(|w|).
 
     Returns the unique non-increasing tuple of Lyndon words whose
     concatenation is w; the empty word gives the empty tuple.
@@ -66,22 +69,22 @@ def shirshov(u: Word) -> tuple[Word, Word]:
     """Shirshov decomposition u = v w with w the longest proper Lyndon right factor.
 
     Both halves are Lyndon and v < vw < w.  Requires u Lyndon of length >= 2.
+    O(|u|): w is the smallest proper right factor, the last CFL factor of u[1:].
     """
     if len(u) < 2:
         raise ValueError(f"word {u} too short for a Shirshov decomposition")
     if not is_lyndon(u):
         raise ValueError(f"word {u} is not a Lyndon word")
-    for i in range(1, len(u)):
-        if is_lyndon(u[i:]):
-            return u[:i], u[i:]
-    raise AssertionError("unreachable: the last letter is always Lyndon")
+    w = cfl_factorize(u[1:])[-1]
+    return u[:len(u) - len(w)], w
 
 
 def enumerate_lyndon(d: int, n: int) -> list[Word]:
     """All Lyndon words of length <= n over the alphabet 1..d, in lex order.
 
-    Uses Duval's successor generation: extend the current word periodically to
-    length n, strip trailing maximal letters, increment the last one.
+    Uses Duval's successor generation (Duval 1983) in place on one list, O(n)
+    per word: extend the current word periodically to length n, strip
+    trailing maximal letters, increment the last one.
     """
     if d < 1:
         raise ValueError("alphabet size must be at least 1")
@@ -90,14 +93,15 @@ def enumerate_lyndon(d: int, n: int) -> list[Word]:
     if n < 1:
         raise ValueError("maximal length must be at least 1")
     out: list[Word] = []
-    w = [1]
-    while w:
-        out.append(tuple(w))
-        w = [w[i % len(w)] for i in range(n)]
-        while w and w[-1] == d:
-            w.pop()
-        if w:
-            w[-1] += 1
+    w, k = [1] * n, 1  # the current word is w[:k]
+    while k:
+        out.append(tuple(w[:k]))
+        w[k:] = (w[:k] * (n // k))[:n - k]
+        k = n
+        while k and w[k - 1] == d:
+            k -= 1
+        if k:
+            w[k - 1] += 1
     return out
 
 
@@ -193,6 +197,7 @@ def format_word(w: Word) -> str:
     A single letter above 9 keeps a trailing comma so the digit and comma
     grammars stay unambiguous.
     """
-    if any(a > 9 for a in w):
-        return ",".join(str(a) for a in w) + ("," if len(w) == 1 else "")
-    return "".join(str(a) for a in w)
+    digits = "".join(map(str, w))
+    if len(digits) == len(w):  # one digit per (positive) letter: none exceeds 9
+        return digits
+    return ",".join(map(str, w)) + ("," if len(w) == 1 else "")

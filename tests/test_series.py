@@ -5,8 +5,7 @@ import random
 
 import pytest
 
-from lynhopf.series import (PowerSeries, binomial_factor, geometric_factor,
-                            lyndon_identity_check)
+from lynhopf.series import PowerSeries, geometric_factor, lyndon_identity_check
 from lynhopf.words import enumerate_lyndon
 
 
@@ -17,6 +16,29 @@ def poly_mul(a, b, trunc):
             if i + j <= trunc:
                 out[i + j] += x * y
     return out
+
+
+def binomial_factor(step, weight, trunc):
+    """(1 - t^step)^{-weight} expanded with exact binomial coefficients."""
+    coeff_at = {}
+    k = 0
+    while k * step <= trunc:
+        coeff_at[k * step] = math.comb(k + weight - 1, k)
+        k += 1
+    return PowerSeries.monomials(trunc, coeff_at)
+
+
+def lyndon_lhs_oracle(d, trunc, letter_dims):
+    """prod over Lyndon words u of 1/(1 - dim V^u t^|u|), one factor per word,
+    with dim V^u multiplied out letter by letter."""
+    lhs = PowerSeries.one(trunc)
+    for u in enumerate_lyndon(d, max(trunc, 1)):
+        wgt = 1
+        for a in u:
+            wgt *= letter_dims[a - 1]
+        lhs = lhs * PowerSeries.monomials(
+            trunc, {k * len(u): wgt ** k for k in range(trunc // len(u) + 1)})
+    return lhs
 
 
 def rand_series(rng, trunc, unit=False):
@@ -35,6 +57,18 @@ def test_arithmetic_matches_dense_oracle():
         assert (a * b).coeffs == tuple(poly_mul(a.coeffs, b.coeffs, trunc))
         assert (a + b).coeffs == tuple(x + y for x, y in zip(a.coeffs, b.coeffs))
         assert (a - b).coeffs == tuple(x - y for x, y in zip(a.coeffs, b.coeffs))
+
+
+def test_product_matches_dense_convolution_on_sparse_series():
+    """Series with runs of zeros and negative coefficients on either side."""
+    rng = random.Random(17)
+    for _ in range(200):
+        trunc = rng.randrange(0, 25)
+        a, b = ([rng.randrange(-9, 10) if rng.random() < density else 0
+                 for _ in range(trunc + 1)]
+                for density in (rng.random(), rng.random()))
+        got = PowerSeries(tuple(a)) * PowerSeries(tuple(b))
+        assert got.coeffs == tuple(poly_mul(a, b, trunc)), (a, b)
 
 
 def test_division_inverts_multiplication():
@@ -105,6 +139,16 @@ def test_lyndon_identity_weighted():
     rep = lyndon_identity_check(2, 8, letter_dims=(1, 2))
     assert rep.ok
     assert rep.rhs.coeffs == tuple(3 ** k for k in range(9))
+
+
+@pytest.mark.parametrize("d, trunc, letter_dims", [
+    (3, 7, (1, 2, 3)), (3, 6, (2, 2, 2)), (2, 9, (3, 1)), (4, 5, (1, 1, 2, 1)),
+    (1, 6, (4,))])
+def test_lyndon_identity_matches_per_word_oracle(d, trunc, letter_dims):
+    rep = lyndon_identity_check(d, trunc, letter_dims=letter_dims)
+    assert rep.ok
+    assert rep.lhs == lyndon_lhs_oracle(d, trunc, letter_dims)
+    assert rep.rhs.coeffs == tuple(sum(letter_dims) ** k for k in range(trunc + 1))
 
 
 def test_lyndon_identity_degree_two_by_hand():

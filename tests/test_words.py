@@ -47,6 +47,41 @@ def shirshov_oracle(u):
     return u[:best], u[best:]
 
 
+def enumerate_lyndon_oracle(d, n):
+    """Duval's successor, rebuilding the periodic extension with `%` per word."""
+    out, w = [], [1]
+    while w:
+        out.append(tuple(w))
+        w = [w[i % len(w)] for i in range(n)]
+        while w and w[-1] == d:
+            w.pop()
+        if w:
+            w[-1] += 1
+    return out
+
+
+def long_random_words(rng, count, d_max=5, n_max=200):
+    """Random words up to length n_max over at most d_max letters, each with
+    its least rotation (Lyndon unless periodic), a power of that rotation,
+    a prefix of its powers (pre-Lyndon) and, for two rotations u < v, u^k v."""
+    for _ in range(count):
+        d = rng.randint(1, d_max)
+        n = rng.randint(1, n_max)
+        w = tuple(rng.randint(1, d) for _ in range(n))
+        u = min(w[i:] + w[:i] for i in range(n))
+        yield w
+        yield u
+        yield (u * (n_max // n + 1))[:rng.randint(1, n_max)]
+        if 2 * n <= n_max:
+            yield u * rng.randint(2, n_max // n)
+        x = tuple(rng.randint(1, d) for _ in range(rng.randint(1, n_max // 4)))
+        v = min(x[i:] + x[:i] for i in range(len(x)))
+        lo, hi = sorted((u, v))
+        if (lo < hi and lyndon_oracle(lo) and lyndon_oracle(hi)
+                and len(lo) + len(hi) <= n_max):
+            yield lo * rng.randint(1, (n_max - len(hi)) // len(lo)) + hi
+
+
 def monotonic_superwords_oracle(letters, degree, max_count=None):
     """Walk every letter at every node, counting capped letters in the buffer."""
     letters = sorted(set(letters), reverse=True)
@@ -126,6 +161,30 @@ def test_shirshov_rejects_short_and_non_lyndon():
         shirshov((1,))
     with pytest.raises(ValueError):
         shirshov((2, 1))
+
+
+@pytest.mark.parametrize("seed", [3, 29])
+def test_words_match_oracles_on_long_random_words(seed):
+    """is_lyndon, shirshov and cfl_factorize on words up to length 200 with
+    d <= 5 against the definitions (the exhaustive checks stop at length 9)."""
+    lyndon_seen = 0
+    for w in long_random_words(random.Random(seed), 80):
+        lyn = lyndon_oracle(w)
+        assert is_lyndon(w) == lyn, w
+        sw = cfl_factorize(w)
+        assert concat(sw) == w
+        assert all(map(lyndon_oracle, sw)), w
+        assert all(a >= b for a, b in zip(sw, sw[1:])), w
+        if lyn and len(w) >= 2:
+            lyndon_seen += 1
+            assert shirshov(w) == shirshov_oracle(w), w
+    assert lyndon_seen >= 80
+
+
+def test_enumerate_lyndon_matches_successor_oracle():
+    for d in range(1, 5):
+        for n in range(1, {1: 9, 2: 11, 3: 7, 4: 6}[d]):
+            assert enumerate_lyndon(d, n) == enumerate_lyndon_oracle(d, n), (d, n)
 
 
 def test_enumerate_lyndon_counts_and_order():
@@ -243,6 +302,10 @@ def test_parse_and_format_word():
     assert parse_word("") == ()
     assert format_word((1, 2, 3)) == "123"
     assert format_word((10, 2)) == "10,2"
+    assert format_word(()) == ""
+    assert format_word((12,)) == "12,"
+    assert format_word((1, 12, 9)) == "1,12,9"
+    assert parse_word(format_word((12,))) == (12,)
     with pytest.raises(ValueError):
         parse_word("1a2")
     with pytest.raises(ValueError):
