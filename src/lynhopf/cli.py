@@ -274,7 +274,7 @@ _ERROR_KINDS = (
     (BadPrimeError, "bad-prime"),
     (NotImplementedError, "unsupported"),
     (json.JSONDecodeError, "parse"),
-    (FileNotFoundError, "io"),
+    (OSError, "io"),
     (ZeroDivisionError, "domain"),
     (ValueError, "domain"),
     (KeyError, "parse"),

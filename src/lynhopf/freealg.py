@@ -646,7 +646,7 @@ def space_from_json(obj: dict, prime=None) -> BraidedSpace:
             raise ValueError(f"space description lacks {req!r}")
     field = PrimeField(prime) if prime is not None else field_from_json(obj["field"])
     dim = obj["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:
         raise ValueError(f"dim must be a positive integer, got {dim!r}")
     braiding = obj["braiding"]
     orders = obj.get("root_orders", [])

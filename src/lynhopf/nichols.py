@@ -388,18 +388,18 @@ def _image(R: GradedQuotient, sw: tuple, cw: tuple, m: int) -> dict:
 def pbw_data(R: GradedQuotient, trunc: int | None = None) -> PBWData:
     """Hard Lyndon-word generators with heights, scanned degree by degree.
 
-    In each degree the restricted monotonic bracket words over the generators
-    accepted so far go into one span in ascending order.  An accepted u gets
-    height h at degree h|u| when the image of bracket(u)^h falls into the span
-    of the lower restricted words; heights cap letter multiplicities in all
-    later restricted words (in this degree they only drop u^h, which adds
-    nothing to the span).  Then a Lyndon word u of degree n is accepted when
-    the image of its bracket is independent of that span; candidates are
-    scanned lexicographically.  Images are products in R of the letters'
-    images (see _image).  A degree with no relations (R_n = T_n) accepts every
-    Lyndon word of length n and builds nothing: each bracket word is its
-    concatenation plus lex-larger words (Kharchenko 1999), and distinct
-    restricted words have distinct concatenations (Chen-Fox-Lyndon).
+    Each degree inserts the restricted monotonic bracket words over the
+    generators so far into one span, non-powers before powers as in _sweep,
+    each group ascending.  Only a power u^h may be dependent (Kharchenko
+    1999); it gives u height h, which caps u in later degrees, so in degree n
+    an all-equal word is a power of a generator with no height yet.  Wherever
+    ascending order returns, this one gives the same span and heights: every
+    non-power was independent of all lower words, and a power is dependent
+    exactly as before, or the largest non-power in its expression was.  Then
+    a Lyndon word of degree n is accepted when its bracket's image (see
+    _image) is independent of that span; candidates go in lex order.  A
+    degree with no relations accepts every Lyndon word of length n and builds
+    nothing, by the argument in _sweep.
     """
     if not R.space.is_diagonal:
         raise NotImplementedError(
@@ -415,16 +415,15 @@ def pbw_data(R: GradedQuotient, trunc: int | None = None) -> PBWData:
         if n <= R._free_through:
             heights.update(dict.fromkeys(candidates))
             continue
-        powers = {(u,) * (n // len(u)): u for u, h in heights.items()
-                  if h is None and n % len(u) == 0 and n > len(u)}
         caps = {u: h - 1 for u, h in heights.items() if h is not None}
         span = Eliminator(R.space.field)
-        for sw in sorted(words.monotonic_superwords(heights, n, caps)):
+        for sw in sorted(words.monotonic_superwords(heights, n, caps),
+                         key=lambda sw: (sw[0] == sw[-1], sw)):
             if span.insert(_image(R, sw, words.concat(sw), n)):
                 continue
-            if sw not in powers:  # restricted PBW theorem (Kharchenko 1999)
+            if sw[0] != sw[-1]:
                 raise RuntimeError(f"degree {n}: {sw} is dependent but not a power")
-            heights[powers[sw]] = len(sw)
+            heights[sw[0]] = len(sw)
         for u in candidates:
             if span.insert(_image(R, (u,), u, n)):
                 heights[u] = None

@@ -297,6 +297,13 @@ def test_io_error(capsys, tmp_path):
     obj = run_error(capsys, ["bracket", "12",
                              "--space", str(tmp_path / "missing.json")])
     assert obj["kind"] == "io"
+    # a directory is unreadable too: OSError, not only FileNotFoundError
+    for argv in (["nichols", "dims", "--space", str(tmp_path), "--trunc", "3"],
+                 ["nichols", "dims", "--space", "preset:quantum-plane",
+                  "--trunc", "3", "--kind", "presented",
+                  "--relations", str(tmp_path)],
+                 ["expand", str(tmp_path), "--space", "preset:quantum-plane"]):
+        assert run_error(capsys, argv)["kind"] == "io"
 
 
 def test_domain_errors(capsys):
@@ -327,6 +334,7 @@ MALFORMED_SPACES = {
     "root-orders-zero": {"root_orders": [0]},
     "braiding-list": {"braiding": ["diagonal"]},
     "braiding-rows-not-lists": {"braiding": {"diagonal": [1, 2]}},
+    "dim-bool": {"dim": True, "braiding": {"diagonal": [["-1"]]}},
 }
 
 

@@ -715,6 +715,47 @@ def test_generic_cartan_a2_known_answers_at_trunc_14(preset):
                                    for n in range(N + 1))
 
 
+def rank_two_root_space(m, a, b, c):
+    """q11 = z^a, q12 = z^b, q21 = 1, q22 = z^c over F_10009, z of order m."""
+    fld = PrimeField(10009)
+    z = fld.element_of_order(m)
+    return BraidedSpace(fld, 2, "diagonal", [[pow(z, a, fld.p), pow(z, b, fld.p)],
+                                             [fld.one, pow(z, c, fld.p)]])
+
+
+def sweep_heights(R):
+    """Counter of (|u|, h) over the nontrivial subquotient factors of the
+    sweep, h the least k with coefficient 0 at degree k|u|, else None."""
+    out = Counter()
+    for f in verify_factorization(R).factors:
+        co, k = f.series.coeffs, len(f.word)
+        if any(co[1:]):
+            out[k, next((h for h in range(1, R.trunc // k + 1)
+                         if not co[h * k]), None)] += 1
+    return out
+
+
+OPEN_ITEM_11 = pytest.mark.xfail(
+    strict=True, raises=RuntimeError,
+    reason="ROADMAP item 11: the ascending candidate scan accepts 11122 in "
+           "degree 5 where the sweep's factor is 11212")
+
+
+@pytest.mark.parametrize("m,a,b,c", [
+    (4, 2, 1, 0), (4, 2, 3, 0), (6, 3, 3, 1), (6, 3, 3, 5),
+    *(pytest.param(6, *abc, marks=OPEN_ITEM_11)
+      for abc in ((2, 1, 0), (2, 1, 4), (4, 5, 0), (4, 5, 2)))])
+def test_pbw_inserts_powers_after_the_other_restricted_words(m, a, b, c):
+    """Rank-2 root-of-unity spaces with q21 = 1 on which a power such as
+    (11222)^2 is expressed through a larger non-power of degree 10: with the
+    powers inserted after the other restricted words, as the sweep does,
+    every dependent word is a power (Kharchenko 1999)."""
+    R = GradedQuotient(rank_two_root_space(m, a, b, c), "nichols", 10)
+    data = pbw_data(R)
+    assert pbw_series(data) == R.hilbert_series()
+    assert Counter((len(g.word), g.height) for g in data.generators) == sweep_heights(R)
+
+
 # ------------------------------------------------------- subquotient series
 
 def test_subquotient_free_super_letter(field):
