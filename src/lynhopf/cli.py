@@ -8,6 +8,7 @@ also print a single-line JSON error object to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -203,7 +204,10 @@ def _add_quotient_opts(p):
                    help="override the guard prime")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing keeps no state
+    in it, so every main() call reuses it."""
     top = _Parser(prog="lynhopf",
                   description="Lyndon-word calculus on free braided algebras")
     top.add_argument("--pretty", action="store_true",

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import os
+from collections import Counter
 from dataclasses import dataclass
 
 from . import words
@@ -359,7 +360,9 @@ class FactorizationReport:
     trunc: int
     lhs: PowerSeries
     rhs: PowerSeries
-    factors: tuple  # SubquotientSeries for every Lyndon word of length <= trunc
+    # SubquotientSeries for every Lyndon word of length <= trunc, in lex
+    # order; equal series are one shared PowerSeries
+    factors: tuple
 
 
 @dataclass(frozen=True)
@@ -405,13 +408,11 @@ def pbw_data(R: GradedQuotient, trunc: int | None = None) -> PBWData:
         raise NotImplementedError(
             "PBW extraction is only implemented for diagonal braidings")
     N = R._degree(trunc)
-    by_length: dict = {}  # n -> the Lyndon words of length n, in lex order
-    for u in _lyndon_table(R, R.space.dim, range(1, N + 1)):
-        by_length.setdefault(len(u), []).append(u)
+    lyndon = _lyndon_table(R, R.space.dim, range(1, N + 1))
     heights: dict = {}  # accepted generator -> height, None while it has none
     for n in range(1, N + 1):
         R._ensure(n)
-        candidates = by_length.get(n, [])
+        candidates = lyndon[n]
         if n <= R._free_through:
             heights.update(dict.fromkeys(candidates))
             continue
@@ -441,11 +442,16 @@ def pbw_series(data: PBWData, trunc: int | None = None) -> PowerSeries:
 
 
 def _lyndon_table(R: GradedQuotient, D: int, degrees: range) -> list:
-    """Lyndon words over D letters up to the last of `degrees`, in lex order,
-    enumerated once every degree has passed the cap, in ascending order."""
+    """Lyndon words over D letters up to the last of `degrees`, bucketed by
+    length: entry n lists those of length n in lex order.  Enumerated once
+    every degree has passed the cap, in ascending order."""
     for m in degrees:
         _check_cap(R.space, m, R.cap)
-    return words.enumerate_lyndon(D, degrees[-1]) if degrees else []
+    top = degrees[-1] if degrees else 0
+    table: list = [[] for _ in range(top + 1)]
+    for u in words.enumerate_lyndon(D, top) if top else ():
+        table[len(u)].append(u)
+    return table
 
 
 def _sweep(R: GradedQuotient, m: int, lyndon):
@@ -472,12 +478,13 @@ def _sweep(R: GradedQuotient, m: int, lyndon):
     part = R.space.component_partition()
     dim = R.dim(m)  # builds degree m, so R._free_through covers it
     diagonal = R.space.is_diagonal
-    steps = [u for u in reversed(lyndon) if m % len(u) == 0]
+    steps = sorted(itertools.chain.from_iterable(
+        lyndon[k] for k in range(1, m + 1) if m % k == 0), reverse=True)
     if not dim or diagonal and m <= R._free_through:
         yield from ((u, min(dim, 1)) for u in steps)
         return
-    live = {u for u in lyndon
-            if len(u) <= m and (not diagonal or R._bracket_image(u))}
+    live = {u for bucket in lyndon[1:m + 1] for u in bucket
+            if not diagonal or R._bracket_image(u)}
     rows = sorted(words.monotonic_superwords(live, m), key=lambda sw: sw[-1],
                   reverse=True)
     span = Eliminator(R.space.field)
@@ -529,22 +536,27 @@ def verify_factorization(R: GradedQuotient, trunc: int | None = None) -> Factori
 
     One sweep per degree, over one Lyndon table, yields every factor's
     coefficient of that degree and checks that the bracket words span R_m.
-    Factors equal to 1 share one series and are not multiplied.
+    Equal factors share one series; the product takes each distinct one
+    once, as a power, so its cost follows the distinct factors, not the
+    Lyndon words (in a free algebra, one series per length).
     """
     N = R._degree(trunc)
     lhs = R.hilbert_series(N)
     D = len(R.space.component_partition())
     lyndon = _lyndon_table(R, D, range(1, N + 1))
-    coeffs = {u: [1] + [0] * N for u in lyndon}
+    coeffs = {u: [1] + [0] * N for bucket in lyndon for u in bucket}
     for m in range(1, N + 1):
         for u, c in _sweep(R, m, lyndon):
             coeffs[u][m] = c
-    one = rhs = PowerSeries.one(N)
-    factors = tuple(SubquotientSeries(u, PowerSeries(tuple(c)) if any(c[1:])
-                                      else one) for u, c in coeffs.items())
-    for sq in factors:
-        if sq.series is not one:
-            rhs = rhs * sq.series
+    order = sorted(coeffs)  # the lex order of the Lyndon words
+    keys = [tuple(coeffs[u]) for u in order]
+    counts = Counter(keys)  # coefficient tuple -> number of factors with it
+    shared = {c: PowerSeries(c) for c in counts}
+    factors = tuple(SubquotientSeries(u, shared[c]) for u, c in zip(order, keys))
+    rhs = PowerSeries.one(N)
+    for c, k in counts.items():
+        if any(c[1:]):
+            rhs = rhs * shared[c] ** k
     return FactorizationReport(lhs == rhs, N, lhs, rhs, factors)
 
 

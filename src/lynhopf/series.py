@@ -68,6 +68,21 @@ class PowerSeries:
                     out[i + j] += a * b
         return PowerSeries(tuple(out))
 
+    def __pow__(self, k):
+        """self^k for an integer k >= 0, by binary powering."""
+        if not isinstance(k, int):
+            return NotImplemented
+        if k < 0:
+            raise ValueError(f"a series power needs k >= 0, got {k}")
+        out, base = None, self
+        while k:
+            if k & 1:
+                out = base if out is None else out * base
+            k >>= 1
+            if k:
+                base = base * base
+        return PowerSeries.one(self.trunc) if out is None else out
+
     def div(self, other: "PowerSeries") -> "PowerSeries":
         """The unique integer series c with other * c == self (mod t^{trunc+1}).
 

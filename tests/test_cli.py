@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -253,7 +256,8 @@ def test_output_is_deterministic(capsys):
     assert len(outs) == 1
 
 
-DATA = Path(__file__).resolve().parent / "data"
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "tests" / "data"
 
 # recorded stdout of each command, in tests/data/<name>.out
 PINNED = {
@@ -263,6 +267,9 @@ PINNED = {
     "factorize-full-cartan-A2-order3-trunc8": [
         "nichols", "factorize", "--full", "--space",
         "preset:cartan-A2(order=3)", "--trunc", "8"],
+    "factorize-full-free-cartan-A2-trunc10": [
+        "nichols", "factorize", "--full", "--kind", "free", "--space",
+        "preset:cartan-A2", "--trunc", "10"],
     "factorize-full-s3-rack-trunc5": [
         "nichols", "factorize", "--full", "--space", "preset:s3-rack",
         "--trunc", "5"],
@@ -277,6 +284,32 @@ def test_sweep_output_is_pinned(capsys, name):
     code, out, err = run(capsys, PINNED[name])
     assert (code, err) == (0, "")
     assert out.encode() == (DATA / f"{name}.out").read_bytes()
+
+
+REPEATED = (
+    ["--pretty", "nichols", "factorize", "--space", "preset:cartan-A2",
+     "--trunc", "6"],
+    ["nichols", "factorize", "--space", "preset:cartan-A2", "--trunc", "6"],
+    ["lyndon", "list"],
+    ["lyndon", "list", "--alphabet", "2", "--max-len", "4"],
+)
+
+
+def test_repeated_main_calls_match_first_calls(capsys):
+    """main() reuses one parser per process: pretty output, plain JSON, a
+    usage error and a valid command in a row each give what they give as
+    the first call of a fresh process."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    first = []
+    for argv in REPEATED:
+        proc = subprocess.run([sys.executable, "-m", "lynhopf.cli", *argv],
+                              capture_output=True, env=env, check=False)
+        first.append((proc.returncode, proc.stdout, proc.stderr))
+    assert [rc for rc, _, _ in first] == [0, 0, 2, 0]
+    for _ in range(2):
+        for argv, want in zip(REPEATED, first):
+            code, out, err = run(capsys, argv)
+            assert (code, out.encode(), err.encode()) == want, argv
 
 
 # -------------------------------------------------------------- error paths

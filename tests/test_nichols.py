@@ -890,29 +890,68 @@ def test_sweep_matches_per_word_oracle_rack(rack_nichols):
 
 def test_factorization_enumerates_once_and_multiplies_nontrivial_factors(
         monkeypatch):
-    """Every degree's sweep reads one Lyndon table, and the factors equal to
-    1 share one series that never enters the product."""
+    """Every degree's sweep reads one Lyndon table; equal factors share one
+    series object, and each distinct nontrivial series enters the product
+    exactly once, raised to the number of factors it stands for.  Here 1 and
+    2 share the series of 1/(1-t), and the factors equal to 1 share one."""
     R = GradedQuotient(space_from_preset("cartan-A2"), "nichols", 10)
-    tables, products = [], []
-    enumerate_lyndon, mul = words.enumerate_lyndon, PowerSeries.__mul__
+    tables, powers = [], []
+    enumerate_lyndon, power = words.enumerate_lyndon, PowerSeries.__pow__
 
     def counting_enumerate(d, n):
         tables.append((d, n))
         return enumerate_lyndon(d, n)
 
-    def counting_mul(a, b):
-        products.append(b)
-        return mul(a, b)
+    def counting_pow(s, k):
+        powers.append((s, k))
+        return power(s, k)
 
     monkeypatch.setattr(words, "enumerate_lyndon", counting_enumerate)
-    monkeypatch.setattr(PowerSeries, "__mul__", counting_mul)
+    monkeypatch.setattr(PowerSeries, "__pow__", counting_pow)
     rep = verify_factorization(R)
     assert rep.ok
     assert tables == [(2, 10)]
     one = PowerSeries.one(10)
     assert [f.word for f in rep.factors if f.series != one] == [(1,), (1, 2), (2,)]
-    assert products == [f.series for f in rep.factors if f.series != one]
-    assert len({id(f.series) for f in rep.factors if f.series == one}) == 1
+    by_coeffs = {}
+    for f in rep.factors:
+        assert by_coeffs.setdefault(f.series.coeffs, f.series) is f.series
+    assert len({id(f.series) for f in rep.factors}) == len(by_coeffs) == 3
+    nontrivial = Counter(f.series for f in rep.factors if f.series != one)
+    assert [(id(s), k) for s, k in powers] == [
+        (id(by_coeffs[s.coeffs]), k) for s, k in nontrivial.items()]
+    assert sorted(k for _, k in powers) == [1, 2]
+
+
+def ordered_product(factors, trunc):
+    """The product of every factor series, one multiplication per factor in
+    the order of the factors."""
+    out = PowerSeries.one(trunc)
+    for f in factors:
+        out = out * f.series
+    return out
+
+
+@pytest.mark.parametrize("make", [
+    lambda: GradedQuotient(random_diagonal(PrimeField(10007), 2,
+                                           random.Random(71)), "free", 9),
+    lambda: GradedQuotient(random_diagonal(PrimeField(10007), 3,
+                                           random.Random(72)), "free", 6),
+    lambda: GradedQuotient(space_from_preset("cartan-A2"), "nichols", 10),
+    lambda: GradedQuotient(space_from_preset("cartan-A2(order=3)"), "nichols", 10),
+    lambda: GradedQuotient(space_from_preset("s3-rack"), "nichols", 5),
+    lambda: GradedQuotient(random_root_diagonal(2, random.Random(73)), "nichols", 8),
+    lambda: GradedQuotient(random_root_diagonal(3, random.Random(74)), "nichols", 5),
+    lambda: GradedQuotient(random_root_diagonal(3, random.Random(75)), "nichols", 5),
+], ids=["free-d2", "free-d3", "cartan-A2", "cartan-A2-order3", "s3-rack",
+        "roots-d2", "roots-d3-a", "roots-d3-b"])
+def test_factorization_rhs_matches_the_ordered_product(make):
+    """Grouping equal factors into powers leaves the right-hand side as the
+    product of all factor series taken one by one."""
+    R = make()
+    rep = verify_factorization(R)
+    assert rep.ok
+    assert rep.rhs == ordered_product(rep.factors, R.trunc) == rep.lhs
 
 
 def test_subquotient_reads_each_sweep_down_to_its_word(monkeypatch):

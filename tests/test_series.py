@@ -71,6 +71,29 @@ def test_product_matches_dense_convolution_on_sparse_series():
         assert got.coeffs == tuple(poly_mul(a, b, trunc)), (a, b)
 
 
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 7, 8, 64, 311])
+def test_power_matches_repeated_products(k):
+    """Binary powering gives the k-fold product, 1 for k = 0, on dense and
+    sparse series, negative and non-unit coefficients included."""
+    rng = random.Random(100 + k)
+    for trunc in (0, 1, 6, 12):
+        for base in (rand_series(rng, trunc), geometric_factor(3, trunc),
+                     PowerSeries.monomials(trunc, {0: 2, 1: -1})):
+            want = PowerSeries.one(trunc)
+            for _ in range(k):
+                want = want * base
+            assert base ** k == want, (base, k)
+
+
+def test_power_rejects_negative_and_non_integer_exponents():
+    s = geometric_factor(1, 5)
+    with pytest.raises(ValueError, match="k >= 0"):
+        s ** -1
+    for k in (2.0, 0.5, "2", None):
+        with pytest.raises(TypeError):
+            s ** k
+
+
 def test_division_inverts_multiplication():
     rng = random.Random(6)
     for _ in range(50):
