@@ -102,6 +102,8 @@ def _cmd_bracket(args) -> int:
 
 
 def _cmd_expand(args) -> int:
+    if args.element == args.space == "-":
+        raise UsageError("element and --space cannot both read stdin")
     space = freealg.build_space(_space_source(args.space), prime=args.prime)
     x = TensorElement.from_json(space, _read_json(args.element))
     coords = expand_monotonic_basis(x)
@@ -132,6 +134,8 @@ def _cmd_tv_identity(args) -> int:
 
 def _run_nichols(args, compute):
     """Evaluate compute(quotient) under the two-prime guard."""
+    if args.space == args.relations == "-":
+        raise UsageError("--space and --relations cannot both read stdin")
     source = _space_source(args.space)
     path = args.relations
     obj = None if path is None else _read_json(path)

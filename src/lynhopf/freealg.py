@@ -83,16 +83,16 @@ def validate_braiding(field, dim: int, kind: str, data) -> BraidingReport:
 
 
 def _validated_braiding(field, dim: int, kind: str, data):
-    """validate_braiding's report, the braiding map and, for general
-    braidings, its inverse (diagonal ones need none: braid_words inverts the
-    q products instead); the maps are None unless the report is ok."""
+    """validate_braiding's report and, for general braidings, the braiding
+    map and its inverse; the maps are None unless the report is ok, and
+    always for diagonal braidings, whose spaces keep q alone."""
 
     def fail(message, triple=None):
         return BraidingReport(False, message, triple), None, None
 
     if dim < 1 or dim > words.MAX_ALPHABET:
         return fail(f"dimension {dim} outside 1..{words.MAX_ALPHABET}")
-    inv = None
+    cmap = inv = None
     if kind == "diagonal":
         if len(data) != dim or any(len(r) != dim for r in data):
             return fail("diagonal braiding needs a d x d matrix")
@@ -100,7 +100,6 @@ def _validated_braiding(field, dim: int, kind: str, data):
             for j in range(dim):
                 if data[i][j] == field.zero:
                     return fail(f"diagonal entry q[{i + 1}][{j + 1}] is zero")
-        cmap = _diagonal_cmap(field, dim, data)
     elif kind == "general":
         if len(data) != dim * dim or any(len(r) != dim * dim for r in data):
             return fail("general braiding needs a d^2 x d^2 matrix")
@@ -117,11 +116,6 @@ def _validated_braiding(field, dim: int, kind: str, data):
     else:
         return fail(f"unknown braiding kind {kind!r}")
     return BraidingReport(True, "ok"), cmap, inv
-
-
-def _diagonal_cmap(field, dim, q):
-    return {(a, b): {(b, a): q[a - 1][b - 1]}
-            for a in range(1, dim + 1) for b in range(1, dim + 1)}
 
 
 def _general_cmap(field, dim, matrix):
@@ -195,12 +189,11 @@ class BraidedSpace:
             if ra != rb:
                 parent[ra] = rb
 
-        if not self.is_diagonal:
-            for (a, b), image in self._cmap.items():
-                for (c, d), v in image.items():
-                    if v != self.field.zero:
-                        union(c, b)
-                        union(d, a)
+        for a in range(1, self.dim + 1):
+            for b in range(1, self.dim + 1):
+                for (c,), (d,) in self.braid_words((a,), (b,)):
+                    union(c, b)
+                    union(d, a)
         groups: dict = {}
         for i in range(1, self.dim + 1):
             groups.setdefault(find(i), []).append(i)

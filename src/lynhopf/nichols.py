@@ -68,32 +68,28 @@ def symmetrizer(space: BraidedSpace, n: int, cap: int | None = None) -> dict:
     Built by the coset recursion S_n = (sum over k of c_k c_{k+1} ... c_{n-1},
     including the empty product) applied after S_{n-1} on the first n-1
     strands; each summand braids the new strand into position k.  S_0 and S_1
-    are identities.
+    are identities.  The slot map is read from braid_words, for both braiding
+    kinds; nothing is memoized on the space.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
     _check_cap(space, n, cap)
-    key = ("sym", n)
-    hit = space._cache.get(key)
-    if hit is not None:
-        return hit
     field = space.field
     if n == 0:
-        cols = {(): {(): field.one}}
-    else:
-        prev = symmetrizer(space, n - 1, cap)
-        cmap = space._cmap
-        cols = {}
-        for w in itertools.product(range(1, space.dim + 1), repeat=n):
-            last = w[-1]
-            base = {pw + (last,): c for pw, c in prev[w[:-1]].items()}
-            acc = dict(base)
-            cur = base
-            for slot in range(n - 1, 0, -1):
-                cur = _apply_slot(field, cur, slot, cmap)
-                field.axpy(acc, cur, field.one)
-            cols[w] = acc
-    space._cache[key] = cols
+        return {(): {(): field.one}}
+    prev = symmetrizer(space, n - 1, cap)
+    letters = range(1, space.dim + 1)
+    cmap = {(a, b): {l + r: c for (l, r), c in space.braid_words((a,), (b,)).items()}
+            for a in letters for b in letters}
+    cols = {}
+    for w in itertools.product(letters, repeat=n):
+        base = {pw + w[-1:]: c for pw, c in prev[w[:-1]].items()}
+        acc = dict(base)
+        cur = base
+        for slot in range(n - 1, 0, -1):
+            cur = _apply_slot(field, cur, slot, cmap)
+            field.axpy(acc, cur, field.one)
+        cols[w] = acc
     return cols
 
 
@@ -136,7 +132,7 @@ class GradedQuotient:
                  relations=(), cap: int | None = None):
         if kind not in self.KINDS:
             raise ValueError(f"unknown quotient kind {kind!r}")
-        if not isinstance(trunc, int) or trunc < 0:
+        if type(trunc) is not int or trunc < 0:
             raise ValueError("trunc must be a nonnegative integer")
         relations = tuple(relations)
         if relations and kind != "presented":

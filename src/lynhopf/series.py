@@ -154,7 +154,7 @@ def lyndon_identity_check(d: int, trunc: int,
     repetitions of the super-letter [u], each power multiplying dimensions.
     Only words of length <= trunc contribute below the truncation.
     """
-    if not isinstance(trunc, int) or trunc < 0:
+    if type(trunc) is not int or trunc < 0:
         raise ValueError("trunc must be a nonnegative integer")
     if letter_dims is None:
         letter_dims = (1,) * d

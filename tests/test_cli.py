@@ -111,6 +111,21 @@ def test_space_from_stdin(capsys, monkeypatch):
                             {"word": "21", "coeff": "10006"}]
 
 
+@pytest.mark.parametrize("argv,inputs", [
+    (["expand", "-", "--space", "-"], "element and --space"),
+    (["nichols", "dims", "--space", "-", "--trunc", "3", "--kind", "presented",
+      "--relations", "-"], "--space and --relations"),
+])
+def test_two_inputs_from_stdin_is_a_usage_error(capsys, monkeypatch, argv, inputs):
+    """Only one input can read stdin; the second would read an empty string.
+    The command refuses before it reads anything."""
+    stdin = io.StringIO("{}")
+    monkeypatch.setattr("sys.stdin", stdin)
+    assert run_error(capsys, argv) == {
+        "error": f"{inputs} cannot both read stdin", "kind": "usage"}
+    assert stdin.tell() == 0
+
+
 # ---------------------------------------------------------------------- tv
 
 def test_tv_identity_check(capsys):

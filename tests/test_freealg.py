@@ -90,7 +90,10 @@ def test_diagonal_braidings_satisfy_braid_equation(fld, order):
     for _ in range(20):
         dim = rng.choice((1, 2, 3))
         q = [[rng.choice(entries) for _ in range(dim)] for _ in range(dim)]
-        cmap = freealg._diagonal_cmap(fld, dim, q)
+        sp = BraidedSpace(fld, dim, "diagonal", q)
+        letters = range(1, dim + 1)
+        cmap = {(a, b): {l + r: v for (l, r), v in sp.braid_words((a,), (b,)).items()}
+                for a in letters for b in letters}
         assert freealg._check_braid_equation(fld, dim, cmap) is None
 
 
@@ -656,7 +659,7 @@ def test_space_json_round_trip(field):
                BraidedSpace(field, 3, "general", swap_block_matrix(field))):
         back = space_from_json(sp.to_json())
         assert back.dim == sp.dim and back.field == sp.field
-        assert back._cmap == sp._cmap
+        assert back.q == sp.q and back._cmap == sp._cmap
     with pytest.raises(ValueError):
         space_from_json({"dim": 2, "braiding": {}})
     with pytest.raises(ValueError):

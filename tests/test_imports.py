@@ -1,5 +1,5 @@
-"""The runtime stays pure standard library, and the names the bench tracer
-wraps exist."""
+"""The runtime stays pure standard library, only freealg reads the internals
+of a space, and the names the bench tracer wraps exist."""
 
 import ast
 import importlib
@@ -42,3 +42,14 @@ def test_bench_tracer_names_resolve():
     for mod, cls, meth, *_ in tracing.METHODS:
         owner = getattr(importlib.import_module(f"lynhopf.{mod}"), cls)
         assert meth in vars(owner), (cls, meth)
+
+
+def test_only_freealg_reads_the_space_internals():
+    """A space's braiding map, its inverse and its memo belong to freealg;
+    every other module braids through BraidedSpace.braid_words."""
+    private = {"_cmap", "_cmap_inv", "_cache"}
+    readers = {(p.name, node.attr) for p in sorted(SRC.glob("*.py"))
+               if p.name != "freealg.py"
+               for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Attribute) and node.attr in private}
+    assert readers == set()

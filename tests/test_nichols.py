@@ -18,7 +18,7 @@ from lynhopf.nichols import (BadPrimeError, GradedQuotient, MatrixCapExceeded,
                              pbw_series, run_guarded, subquotient_series,
                              symmetrizer, verify_factorization)
 from lynhopf.scalars import PrimeField, RationalField
-from lynhopf.series import PowerSeries
+from lynhopf.series import PowerSeries, geometric_factor
 
 from conftest import all_words, random_diagonal, swap_block_matrix
 
@@ -233,8 +233,9 @@ def test_quotient_validation(field):
     sp = space_from_preset("quantum-plane")
     with pytest.raises(ValueError):
         GradedQuotient(sp, "mystery", 3)
-    with pytest.raises(ValueError):
-        GradedQuotient(sp, "nichols", -1)
+    for trunc in (-1, True, False):
+        with pytest.raises(ValueError, match="trunc must be a nonnegative integer"):
+            GradedQuotient(sp, "nichols", trunc)
     with pytest.raises(ValueError):
         GradedQuotient(sp, "nichols", 3, relations=(sp.element({(1, 1): 1}),))
     with pytest.raises(ValueError):
@@ -715,6 +716,65 @@ def test_generic_cartan_a2_known_answers_at_trunc_14(preset):
                                    for n in range(N + 1))
 
 
+def b2_space(fld, q):
+    """B2 with q11 = q^2, q12 = q^-2, q21 = 1 and q22 = q."""
+    q2 = fld.mul(q, q)
+    return BraidedSpace(fld, 2, "diagonal", [[q2, fld.inv(q2)], [fld.one, q]])
+
+
+@pytest.mark.parametrize("p", [10009, 10039])
+@pytest.mark.parametrize("order,N,dims", [
+    (3, 14, (1, 2, 4, 5, 7, 8, 9, 9, 9, 8, 7, 5, 4, 2, 1)),
+    (None, 10, (1, 2, 4, 7, 11, 16, 23, 31, 41, 53, 67))], ids=["order-3", "generic"])
+def test_b2_known_answers(p, order, N, dims):
+    """U_q^+(so_5) (Kharchenko 1999; Lalonde-Ram 1995): one PBW generator per
+    positive root, 1, 12, 122 and 2 of root heights 1, 2, 3 and 1, each with the
+    height N = ord(q) at a root of unity and none for generic q; the series
+    is prod over the root heights h of (1 - t^{Nh})/(1 - t^h)."""
+    fld = PrimeField(p)
+    q = fld.element_of_order(order) if order else fld.from_int(11)
+    R = GradedQuotient(b2_space(fld, q), "nichols", N)
+    assert R.hilbert_series().coeffs == dims
+    closed = PowerSeries.one(N)
+    for h in (1, 1, 2, 3):
+        closed = closed * geometric_factor(h, N, order)
+    assert R.hilbert_series() == closed
+    roots = ((1,), (1, 2), (1, 2, 2), (2,))
+    assert pbw_data(R).generators == tuple(PBWGenerator(u, order) for u in roots)
+    rep = verify_factorization(R)
+    assert rep.ok
+    assert tuple(f.word for f in rep.factors if any(f.series.coeffs[1:])) == roots
+
+
+def s4_rack(fld):
+    """The transpositions of S_4 with c(x_s ox x_t) = -x_{sts^-1} ox x_s."""
+    swaps = list(itertools.combinations(range(4), 2))
+
+    def conjugate(s, t):
+        move = dict(zip(s, reversed(s)))
+        return tuple(sorted(move.get(i, i) for i in t))
+
+    dense = [[fld.zero] * 36 for _ in range(36)]
+    for a, s in enumerate(swaps):
+        for b, t in enumerate(swaps):
+            dense[swaps.index(conjugate(s, t)) * 6 + a][a * 6 + b] = fld.neg(fld.one)
+    return BraidedSpace(fld, 6, "general", dense)
+
+
+@pytest.mark.parametrize("p", [10007, 10009])
+def test_s4_rack_is_fomin_kirillov(monkeypatch, p):
+    """The Nichols algebra of the S_4 transposition rack with constant
+    cocycle -1 is FK_4 (Fomin-Kirillov 1999; Milinski-Schneider 2000): series
+    [2]_t^2 [3]_t^2 [4]_t^2, dimension 576, top degree 12.  The braiding
+    mixes all six letters, so the space is one block."""
+    monkeypatch.setenv("LH_MAX_MATRIX", str(6 ** 13))
+    sp = s4_rack(PrimeField(p))
+    assert sp.component_partition() == ((1, 2, 3, 4, 5, 6),)
+    dims = GradedQuotient(sp, "nichols", 13).hilbert_series().coeffs
+    assert dims == (1, 6, 19, 42, 71, 96, 106, 96, 71, 42, 19, 6, 1, 0)
+    assert sum(dims) == 576
+
+
 def rank_two_root_space(m, a, b, c):
     """q11 = z^a, q12 = z^b, q21 = 1, q22 = z^c over F_10009, z of order m."""
     fld = PrimeField(10009)
@@ -735,25 +795,48 @@ def sweep_heights(R):
     return out
 
 
+def check_pbw_against_sweep(m, a, b, c):
+    """At trunc 10, the PBW data rebuild the Hilbert series, and its
+    (|u|, height) multiset is the one of the sweep's nontrivial factors."""
+    R = GradedQuotient(rank_two_root_space(m, a, b, c), "nichols", 10)
+    data = pbw_data(R)
+    assert pbw_series(data) == R.hilbert_series()
+    assert Counter((len(g.word), g.height) for g in data.generators) == sweep_heights(R)
+
+
 OPEN_ITEM_11 = pytest.mark.xfail(
     strict=True, raises=RuntimeError,
     reason="ROADMAP item 11: the ascending candidate scan accepts 11122 in "
            "degree 5 where the sweep's factor is 11212")
+# (m, a, b, c) of the rank-2 root spaces on which pbw_data raises in degree 8
+DEGREE_8_RAISERS = ((6, 2, 1, 0), (6, 2, 1, 4), (6, 4, 5, 0), (6, 4, 5, 2))
+
+
+def marked_root_space(space):
+    return pytest.param(*space, marks=OPEN_ITEM_11) if space in DEGREE_8_RAISERS else space
 
 
 @pytest.mark.parametrize("m,a,b,c", [
     (4, 2, 1, 0), (4, 2, 3, 0), (6, 3, 3, 1), (6, 3, 3, 5),
-    *(pytest.param(6, *abc, marks=OPEN_ITEM_11)
-      for abc in ((2, 1, 0), (2, 1, 4), (4, 5, 0), (4, 5, 2)))])
+    *map(marked_root_space, DEGREE_8_RAISERS)])
 def test_pbw_inserts_powers_after_the_other_restricted_words(m, a, b, c):
     """Rank-2 root-of-unity spaces with q21 = 1 on which a power such as
     (11222)^2 is expressed through a larger non-power of degree 10: with the
     powers inserted after the other restricted words, as the sweep does,
     every dependent word is a power (Kharchenko 1999)."""
-    R = GradedQuotient(rank_two_root_space(m, a, b, c), "nichols", 10)
-    data = pbw_data(R)
-    assert pbw_series(data) == R.hilbert_series()
-    assert Counter((len(g.word), g.height) for g in data.generators) == sweep_heights(R)
+    check_pbw_against_sweep(m, a, b, c)
+
+
+# The 280 rank-2 spaces with q21 = 1 and q11, q12, q22 powers of a 4th or
+# a 6th root of unity; a seeded sample of 16 (it draws one degree-8 raiser).
+ROOT_FAMILY = [(m, a, b, c) for m in (4, 6)
+               for a, b, c in itertools.product(range(m), repeat=3)]
+
+
+@pytest.mark.parametrize("m,a,b,c", map(
+    marked_root_space, random.Random(11).sample(ROOT_FAMILY, 16)))
+def test_pbw_matches_the_sweep_on_sampled_rank_two_root_spaces(m, a, b, c):
+    check_pbw_against_sweep(m, a, b, c)
 
 
 # ------------------------------------------------------- subquotient series

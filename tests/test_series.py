@@ -188,8 +188,9 @@ def test_lyndon_identity_validation():
         lyndon_identity_check(2, 5, letter_dims=(1,))
     with pytest.raises(ValueError):
         lyndon_identity_check(2, 5, letter_dims=(1, 0))
-    with pytest.raises(ValueError, match="trunc must be a nonnegative integer"):
-        lyndon_identity_check(2, -3)
+    for trunc in (-3, True, False):
+        with pytest.raises(ValueError, match="trunc must be a nonnegative integer"):
+            lyndon_identity_check(2, trunc)
 
 
 def test_series_json_round_trip():
