@@ -9,6 +9,7 @@ coproduct and the braided antipode.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import namedtuple
 from dataclasses import dataclass
@@ -79,13 +80,17 @@ def validate_braiding(field, dim: int, kind: str, data) -> BraidingReport:
     `data` is the d x d scalar matrix for kind "diagonal", or the d^2 x d^2
     matrix (rows and columns indexed by (i-1)*d + (j-1)) for kind "general".
     """
-    return _validated_braiding(field, dim, kind, data)[0]
+    return _validated_braiding(field, dim, kind, tuple(map(tuple, data)))[0]
 
 
-def _validated_braiding(field, dim: int, kind: str, data):
+@functools.lru_cache(maxsize=64)
+def _validated_braiding(field, dim: int, kind: str, data: tuple):
     """validate_braiding's report and, for general braidings, the braiding
     map and its inverse; the maps are None unless the report is ok, and
-    always for diagonal braidings, whose spaces keep q alone."""
+    always for diagonal braidings, whose spaces keep q alone.
+
+    Memoized per process on the frozen rows `data`, so each distinct
+    braiding is checked once; the shared maps are never mutated."""
 
     def fail(message, triple=None):
         return BraidingReport(False, message, triple), None, None
@@ -152,6 +157,7 @@ class BraidedSpace:
     """A finite-dimensional braided vector space with cached bracket data."""
 
     def __init__(self, field, dim: int, kind: str, data):
+        data = tuple(map(tuple, data))
         report, self._cmap, self._cmap_inv = _validated_braiding(
             field, dim, kind, data)
         if not report.ok:
@@ -159,7 +165,7 @@ class BraidedSpace:
         self.field = field
         self.dim = dim
         self.kind = kind
-        self.q = tuple(tuple(r) for r in data) if kind == "diagonal" else None
+        self.q = data if kind == "diagonal" else None
         self._cache: dict = {}
 
     @property

@@ -167,6 +167,8 @@ class GradedQuotient:
         """n (the truncation for None), checked to lie in 0..trunc."""
         if n is None:
             return self.trunc
+        if type(n) is not int:
+            raise ValueError(f"degree must be an integer, got {n!r}")
         if n < 0:
             raise ValueError("degree must be nonnegative")
         if n > self.trunc:
@@ -175,7 +177,7 @@ class GradedQuotient:
 
     def _ensure(self, n: int) -> dict:
         """Relation rows of degree n with leads a.b; builds degrees in order."""
-        if not 0 <= n < len(self._rows):
+        if type(n) is not int or not 0 <= n < len(self._rows):
             field = self.space.field
             for k in range(len(self._rows), self._degree(n) + 1):
                 rows = (self._nichols_rows if self.kind == "nichols"

@@ -7,6 +7,7 @@ external syntax: optional sign, decimal integer, optional "/denominator".
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -15,6 +16,22 @@ MAX_PRIME = 2 ** 62
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+def _int_memo(f):
+    """Memoize f per process in a bounded memo, after checking that its first
+    argument is an int: 7.0 and True would otherwise hit the entries of 7
+    and 1.  Further arguments are sequences, frozen to tuples for the key."""
+    memo = functools.lru_cache(maxsize=256)(f)
+
+    @functools.wraps(f)
+    def checked(n, *args):
+        if type(n) is not int:
+            raise ValueError(f"{f.__name__} needs an int, got {n!r}")
+        return memo(n, *map(tuple, args))
+    checked.cache_clear = memo.cache_clear
+    return checked
+
+
+@_int_memo
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, valid far beyond 2^62."""
     if n < 2:
@@ -249,6 +266,7 @@ def field_from_json(obj: dict):
     raise ValueError(f"unrecognized field spec {obj!r}")
 
 
+@_int_memo
 def primitive_root(p: int) -> int:
     """Least primitive root of F_p."""
     if p == 2:
@@ -260,6 +278,7 @@ def primitive_root(p: int) -> int:
     raise AssertionError("unreachable: every prime has a primitive root")
 
 
+@_int_memo
 def next_prime_with(start: int, order_divisors: tuple = (), units: tuple = ()) -> int:
     """Smallest prime p >= start with each m | p-1 and each unit nonzero mod p.
 

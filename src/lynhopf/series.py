@@ -154,6 +154,8 @@ def lyndon_identity_check(d: int, trunc: int,
     repetitions of the super-letter [u], each power multiplying dimensions.
     Only words of length <= trunc contribute below the truncation.
     """
+    if type(d) is not int:
+        raise ValueError(f"alphabet size must be an integer, got {d!r}")
     if type(trunc) is not int or trunc < 0:
         raise ValueError("trunc must be a nonnegative integer")
     if letter_dims is None:

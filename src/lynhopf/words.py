@@ -86,10 +86,14 @@ def enumerate_lyndon(d: int, n: int) -> list[Word]:
     per word: extend the current word periodically to length n, strip
     trailing maximal letters, increment the last one.
     """
+    if type(d) is not int:
+        raise ValueError(f"alphabet size must be an integer, got {d!r}")
     if d < 1:
         raise ValueError("alphabet size must be at least 1")
     if d > MAX_ALPHABET:
         raise ValueError(f"alphabet size {d} exceeds the supported {MAX_ALPHABET}")
+    if type(n) is not int:
+        raise ValueError(f"maximal length must be an integer, got {n!r}")
     if n < 1:
         raise ValueError("maximal length must be at least 1")
     out: list[Word] = []

@@ -56,15 +56,25 @@ def test_validate_general(field):
     assert not rep.ok and "singular" in rep.message
 
 
-def test_braid_equation_checked_only_for_general_braidings(field, monkeypatch):
+def count_calls(monkeypatch, name):
+    """Record the calls of freealg.<name> from now on, starting from an empty
+    braiding memo."""
     calls = []
-    check = freealg._check_braid_equation
+    f = getattr(freealg, name)
 
     def counting(*args):
         calls.append(args)
-        return check(*args)
+        return f(*args)
 
-    monkeypatch.setattr(freealg, "_check_braid_equation", counting)
+    monkeypatch.setattr(freealg, name, counting)
+    freealg._validated_braiding.cache_clear()
+    return calls
+
+
+def test_braid_equation_checked_only_for_general_braidings(field, monkeypatch):
+    """Diagonal builds never check; a general braiding is checked on its
+    first build in the process and not again, per field."""
+    calls = count_calls(monkeypatch, "_check_braid_equation")
     random_diagonal(field, 3, random.Random(5))
     space_from_preset("quantum-plane")
     space_from_preset("cartan-A2(order=3)")
@@ -72,6 +82,12 @@ def test_braid_equation_checked_only_for_general_braidings(field, monkeypatch):
     assert calls == []
     space_from_preset("s3-rack")
     assert len(calls) == 1
+    space_from_preset("s3-rack")
+    assert validate_braiding(field, 3, "general",
+                             freealg._s3_rack_matrix(field)).ok
+    assert len(calls) == 1
+    space_from_preset("s3-rack(prime=10009)")
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("fld,order", [(PrimeField(10007), None),
@@ -98,22 +114,81 @@ def test_diagonal_braidings_satisfy_braid_equation(fld, order):
 
 
 def test_space_inverts_general_braiding_once(field, monkeypatch):
-    calls = []
-    invert = freealg._invert_cmap
-
-    def counting(*args):
-        calls.append(args)
-        return invert(*args)
-
-    monkeypatch.setattr(freealg, "_invert_cmap", counting)
+    calls = count_calls(monkeypatch, "_invert_cmap")
+    random_diagonal(field, 3, random.Random(5))
+    space_from_preset("cartan-A2")
+    assert calls == []
     sp = BraidedSpace(field, 3, "general", freealg._s3_rack_matrix(field))
     assert len(calls) == 1
+    again = space_from_preset("s3-rack")
+    assert len(calls) == 1 and again._cmap_inv is sp._cmap_inv
+    space_from_preset("s3-rack(prime=10009)")
+    assert len(calls) == 2
     # the inverse kept by the space undoes the braiding on every pair
     for ab, image in sp._cmap.items():
         back = {}
         for cd, v in image.items():
             field.axpy(back, sp._cmap_inv[cd], v)
         assert back == {ab: field.one}
+
+
+def braiding_cases(fld):
+    """(dim, kind, data) of valid and failing braidings over fld: s3-rack,
+    the two-block swap, a broken rack, a singular matrix and random diagonal
+    matrices, some with a zero entry."""
+    rack = freealg._s3_rack_matrix(fld)
+    broken = [row[:] for row in rack]
+    broken[0][0] = fld.one
+    cases = [(3, "general", rack), (3, "general", swap_block_matrix(fld)),
+             (3, "general", broken),
+             (2, "general", [[fld.zero] * 4 for _ in range(4)])]
+    rng = random.Random(fld.char + 3)
+    for _ in range(12):
+        d = rng.choice((1, 2, 3))
+        cases.append((d, "diagonal",
+                      [[fld.from_int(rng.choice((0, -3, -1, 1, 2, 7, 10008)))
+                        for _ in range(d)] for _ in range(d)]))
+    return cases
+
+
+@pytest.mark.parametrize("fld", [PrimeField(10007), PrimeField(10009),
+                                 RationalField()],
+                         ids=["p10007", "p10009", "rationals"])
+def test_memoized_validation_matches_the_uncached_check(fld):
+    """The memo gives the reports and maps of a fresh check, and a failing
+    braiding raises on every build."""
+    uncached = freealg._validated_braiding.__wrapped__
+    freealg._validated_braiding.cache_clear()
+    cases = braiding_cases(fld)
+    assert {uncached(fld, d, kind, tuple(map(tuple, data)))[0].ok
+            for d, kind, data in cases} == {True, False}
+    for _ in range(2):
+        for d, kind, data in cases:
+            report, cmap, inv = uncached(fld, d, kind, tuple(map(tuple, data)))
+            assert validate_braiding(fld, d, kind, data) == report
+            if not report.ok:
+                with pytest.raises(ValueError) as exc:
+                    BraidedSpace(fld, d, kind, data)
+                assert str(exc.value) == f"invalid braiding: {report.message}"
+                continue
+            sp = BraidedSpace(fld, d, kind, data)
+            assert (sp._cmap, sp._cmap_inv) == (cmap, inv)
+            assert sp.q == (tuple(map(tuple, data)) if kind == "diagonal"
+                            else None)
+
+
+def test_memoized_maps_survive_brackets_and_coproducts(field):
+    """Building every s3-rack bracket up to length 5 and its coproduct
+    leaves the shared slot maps as a fresh construction makes them."""
+    freealg._validated_braiding.cache_clear()
+    sp = space_from_preset("s3-rack")
+    for u in words.enumerate_lyndon(3, 5):
+        for flavor in ("left", "double"):
+            coproduct(bracket(sp, u, flavor).value)
+    fresh = freealg._general_cmap(field, 3, freealg._s3_rack_matrix(field))
+    assert sp._cmap == fresh
+    assert sp._cmap_inv == freealg._invert_cmap(field, 3, fresh)
+    assert space_from_preset("s3-rack")._cmap is sp._cmap
 
 
 def oracle_invert_cmap(field, dim, cmap):
@@ -649,6 +724,15 @@ def test_public_brackets_do_not_share_the_cache():
     assert bracket(sp, (1, 2)).value.terms == true
     assert bracket_word(sp, ((1, 2),)).terms == true
     assert bracket_element(sp, (1, 2)).terms == true
+
+
+def test_each_build_gets_its_own_empty_cache():
+    for preset in CACHE_SPACES:
+        first = build_space(preset)
+        mixed_workload(first)
+        second = build_space(preset)
+        assert second._cache == {} and second._cache is not first._cache
+        assert first._cache and second is not first
 
 
 # ----------------------------------------------------------- (de)serialization

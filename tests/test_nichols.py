@@ -1375,6 +1375,11 @@ def test_degree_arguments_outside_the_truncation(entry):
         with pytest.raises(ValueError) as exc:
             call(R, 5)
         assert str(exc.value) == "degree 5 exceeds truncation 4", R.kind
+        for n in (True, False, 2.0):
+            with pytest.raises(ValueError) as exc:
+                call(R, n)
+            assert str(exc.value) == f"degree must be an integer, got {n!r}", (
+                R.kind, n)
         call(R, 4)
 
 

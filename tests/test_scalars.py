@@ -147,6 +147,45 @@ def test_next_prime_with():
     assert 10009 % p != 0 and 7 % p != 0
     # unit constraints skip primes dividing a numerator or denominator
     assert next_prime_with(11, (), (Fraction(1, 11),)) == 13
+    # lists are frozen for the memo, not rejected
+    assert next_prime_with(10008, [3], []) == 10009
+
+
+def test_prime_helpers_reject_non_integers():
+    """The type check runs before the memo: with the entries of 7 and 1
+    present, 7.0 and True still raise."""
+    assert is_prime(7) and primitive_root(7) == 3 and next_prime_with(1) == 2
+    with pytest.raises(ValueError, match="needs an int, got 10.5"):
+        next_prime_with(10.5)
+    with pytest.raises(ValueError, match="needs an int, got True"):
+        next_prime_with(True)
+    with pytest.raises(ValueError, match="needs an int, got 7.0"):
+        next_prime_with(7.0, (3,))
+    with pytest.raises(ValueError, match="needs an int, got 7.0"):
+        is_prime(7.0)
+    with pytest.raises(ValueError, match="needs an int, got True"):
+        is_prime(True)
+    with pytest.raises(ValueError, match="needs an int, got False"):
+        is_prime(False)
+    with pytest.raises(ValueError, match="needs an int, got 7.0"):
+        primitive_root(7.0)
+    with pytest.raises(ValueError, match="needs an int, got '7'"):
+        is_prime("7")
+
+
+def test_prime_helpers_match_their_uncached_bodies():
+    for helper in (is_prime, primitive_root, next_prime_with):
+        helper.cache_clear()
+    for p in (2, 3, 7, 10007, 10009, 2 ** 31 - 1):
+        for _ in range(2):
+            assert is_prime(p) is is_prime.__wrapped__(p) is True
+            assert primitive_root(p) == primitive_root.__wrapped__(p)
+    for start, orders, units in ((10008, (3,), ()), (2, (), ()),
+                                 (11, (), (Fraction(1, 11),)),
+                                 (10008, (3, 4), (Fraction(10009), 7))):
+        for _ in range(2):
+            assert next_prime_with(start, orders, units) == \
+                next_prime_with.__wrapped__(start, orders, units)
 
 
 @pytest.mark.parametrize("fld", [PrimeField(7), RationalField()],

@@ -191,6 +191,9 @@ def test_lyndon_identity_validation():
     for trunc in (-3, True, False):
         with pytest.raises(ValueError, match="trunc must be a nonnegative integer"):
             lyndon_identity_check(2, trunc)
+    for d in (True, False, 2.0):
+        with pytest.raises(ValueError, match="alphabet size must be an integer"):
+            lyndon_identity_check(d, 3)
 
 
 def test_series_json_round_trip():

@@ -200,6 +200,14 @@ def test_enumerate_lyndon_one_letter_alphabet():
     assert enumerate_lyndon(1, 6) == [(1,)]
 
 
+def test_enumerate_lyndon_rejects_non_integers():
+    for d, n in ((True, 3), (False, 3), (2.0, 3), (2, 2.0), (2, True)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            enumerate_lyndon(d, n)
+    with pytest.raises(ValueError, match="at least 1"):
+        enumerate_lyndon(0, 3)
+
+
 # ---------------------------------------------------------------- shirshov halves
 
 def test_shirshov_halves_are_lyndon_and_ordered():
