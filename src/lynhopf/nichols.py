@@ -14,6 +14,7 @@ in TV and project them.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 from collections import Counter
@@ -134,6 +135,8 @@ class GradedQuotient:
             raise ValueError(f"unknown quotient kind {kind!r}")
         if type(trunc) is not int or trunc < 0:
             raise ValueError("trunc must be a nonnegative integer")
+        if cap is not None and (type(cap) is not int or cap < 1):
+            raise ValueError(f"cap must be a positive integer or None, got {cap!r}")
         relations = tuple(relations)
         if relations and kind != "presented":
             raise ValueError("relations only make sense for kind 'presented'")
@@ -156,6 +159,7 @@ class GradedQuotient:
         self._basis: list = [((),), tuple((a,) for a in letters)]
         self._nf: dict = {(): {(): one}}
         self._letters: dict = {}  # Lyndon word u -> pi[u] (diagonal braidings)
+        self._images: dict = {}  # super-word sw, |sw| >= 2 -> pi[sw] (likewise)
         self._free_through = 1  # no relation rows in degrees <= this
         # (n, D_n), n the latest degree, in (standard word, letter) coordinates
         self._derivation = (1, {(a,): {((), a): one} for a in letters})
@@ -269,6 +273,20 @@ class GradedQuotient:
             self._letters[u] = hit
         return hit
 
+    def _superword_image(self, sw: tuple, n: int) -> dict:
+        """pi[sw] for a super-word sw of degree n over a diagonal braiding,
+        memoized by suffix: pi[sw] = pi[sw[0]].pi[sw[1:]].  Normal forms in R
+        are unique, so this is the left-to-right product of the letters'
+        images.  The memo's dicts are shared; callers must not mutate them."""
+        if len(sw) == 1:
+            return self._bracket_image(sw[0])
+        hit = self._images.get(sw)
+        if hit is None:
+            hit = self._images[sw] = self._times(
+                self._bracket_image(sw[0]),
+                self._superword_image(sw[1:], n - len(sw[0])), n)
+        return hit
+
     def _check_coideal(self, n: int):
         """Delta of each degree-n relation w - NF(w), w a lead, must lie in
         Rel ox TV + TV ox Rel, the kernel of pi ox pi: both legs of every term
@@ -374,16 +392,13 @@ class NonnegReport:
 
 def _image(R: GradedQuotient, sw: tuple, cw: tuple, m: int) -> dict:
     """Coordinates in R_m of the bracket word of shape sw on the word cw, as
-    a fresh dict.  Over a diagonal braiding (cw is then the concatenation of
-    sw) it is the product in R of the letters' images; block braidings
-    project the bracket word built in TV."""
+    a fresh dict (Eliminator.insert consumes it).  Over a diagonal braiding
+    (cw is then the concatenation of sw) it is the product in R of the
+    letters' images, memoized by suffix; block braidings project the bracket
+    word built in TV."""
     if not R.space.is_diagonal:
         return R.project_terms(_block_bracket_word(R.space, sw, cw, "left"), m)
-    out, k = dict(R._bracket_image(sw[0])), len(sw[0])
-    for u in sw[1:]:
-        k += len(u)
-        out = R._times(out, R._bracket_image(u), k)
-    return out
+    return dict(R._superword_image(sw, m))
 
 
 def pbw_data(R: GradedQuotient, trunc: int | None = None) -> PBWData:
@@ -400,7 +415,9 @@ def pbw_data(R: GradedQuotient, trunc: int | None = None) -> PBWData:
     a Lyndon word of degree n is accepted when its bracket's image (see
     _image) is independent of that span; candidates go in lex order.  A
     degree with no relations accepts every Lyndon word of length n and builds
-    nothing, by the argument in _sweep.
+    nothing, by the argument in _sweep.  Images lie in R_n, so once the span
+    has rank dim R_n no later word is inserted: each is dependent, so a
+    non-power raises, a power takes its height and no candidate is accepted.
     """
     if not R.space.is_diagonal:
         raise NotImplementedError(
@@ -409,7 +426,7 @@ def pbw_data(R: GradedQuotient, trunc: int | None = None) -> PBWData:
     lyndon = _lyndon_table(R, R.space.dim, range(1, N + 1))
     heights: dict = {}  # accepted generator -> height, None while it has none
     for n in range(1, N + 1):
-        R._ensure(n)
+        dim = R.dim(n)
         candidates = lyndon[n]
         if n <= R._free_through:
             heights.update(dict.fromkeys(candidates))
@@ -418,13 +435,13 @@ def pbw_data(R: GradedQuotient, trunc: int | None = None) -> PBWData:
         span = Eliminator(R.space.field)
         for sw in sorted(words.monotonic_superwords(heights, n, caps),
                          key=lambda sw: (sw[0] == sw[-1], sw)):
-            if span.insert(_image(R, sw, words.concat(sw), n)):
+            if span.rank < dim and span.insert(_image(R, sw, words.concat(sw), n)):
                 continue
             if sw[0] != sw[-1]:
                 raise RuntimeError(f"degree {n}: {sw} is dependent but not a power")
             heights[sw[0]] = len(sw)
         for u in candidates:
-            if span.insert(_image(R, (u,), u, n)):
+            if span.rank < dim and span.insert(_image(R, (u,), u, n)):
                 heights[u] = None
     gens = tuple(PBWGenerator(u, h) for u, h in sorted(heights.items()))
     return PBWData(N, gens)
@@ -439,17 +456,24 @@ def pbw_series(data: PBWData, trunc: int | None = None) -> PowerSeries:
     return out
 
 
-def _lyndon_table(R: GradedQuotient, D: int, degrees: range) -> list:
+def _lyndon_table(R: GradedQuotient, D: int, degrees: range) -> tuple:
     """Lyndon words over D letters up to the last of `degrees`, bucketed by
-    length: entry n lists those of length n in lex order.  Enumerated once
-    every degree has passed the cap, in ascending order."""
+    length: entry n lists those of length n in lex order.  Read once every
+    degree has passed the cap, in ascending order, from _lyndon_buckets."""
     for m in degrees:
         _check_cap(R.space, m, R.cap)
-    top = degrees[-1] if degrees else 0
+    return _lyndon_buckets(D, degrees[-1] if degrees else 0)
+
+
+@functools.lru_cache(maxsize=1)
+def _lyndon_buckets(D: int, top: int) -> tuple:
+    """The Lyndon words over D letters of length <= top, as a tuple of
+    per-length tuples.  One entry: run_guarded's second prime reads the
+    first one's table, and the next call with other (D, top) evicts it."""
     table: list = [[] for _ in range(top + 1)]
     for u in words.enumerate_lyndon(D, top) if top else ():
         table[len(u)].append(u)
-    return table
+    return tuple(map(tuple, table))
 
 
 def _sweep(R: GradedQuotient, m: int, lyndon):
@@ -471,7 +495,8 @@ def _sweep(R: GradedQuotient, m: int, lyndon):
     count is 0, and where a diagonal degree has no relations (R_m = T_m)
     every count is 1, because each bracket word is its concatenation plus
     lex-larger words (Kharchenko 1999) and the rows have distinct
-    concatenations.
+    concatenations.  Once the span has rank dim R_m no later image can
+    raise it, so the sweep inserts no more rows and every later count is 0.
     """
     part = R.space.component_partition()
     dim = R.dim(m)  # builds degree m, so R._free_through covers it
@@ -494,12 +519,12 @@ def _sweep(R: GradedQuotient, m: int, lyndon):
 
     i = 0
     for u in steps:
-        while i < len(rows) and rows[i][-1] >= u:
+        while span.rank < dim and i < len(rows) and rows[i][-1] >= u:
             sw = rows[i]
             i += 1
             if sw[0] != sw[-1]:
                 insert(sw)
-        yield u, insert((u,) * (m // len(u))) if u in live else 0
+        yield u, insert((u,) * (m // len(u))) if u in live and span.rank < dim else 0
     if span.rank != dim:
         raise RuntimeError(
             f"degree {m}: the bracket words span rank {span.rank}, "

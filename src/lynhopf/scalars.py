@@ -58,6 +58,8 @@ def is_prime(n: int) -> bool:
 
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization by trial division; desk-scale inputs only."""
+    if n < 1:
+        raise ValueError(f"only positive integers factor, got {n!r}")
     out: dict[int, int] = {}
     for p in (2, 3):
         while n % p == 0:
@@ -269,6 +271,8 @@ def field_from_json(obj: dict):
 @_int_memo
 def primitive_root(p: int) -> int:
     """Least primitive root of F_p."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     if p == 2:
         return 1
     factors = list(factorize(p - 1))

@@ -195,13 +195,17 @@ def parse_word(s: str) -> Word:
     return validate_word(letters)
 
 
+_DIGITS = {a: str(a) for a in range(10)}
+
+
 def format_word(w: Word) -> str:
     """Inverse of parse_word; comma form only when a letter exceeds 9.
 
     A single letter above 9 keeps a trailing comma so the digit and comma
-    grammars stay unambiguous.
+    grammars stay unambiguous.  The digit form reads the letters 0-9 from a
+    table; any other int letter falls back to the comma form.
     """
-    digits = "".join(map(str, w))
-    if len(digits) == len(w):  # one digit per (positive) letter: none exceeds 9
-        return digits
-    return ",".join(map(str, w)) + ("," if len(w) == 1 else "")
+    try:
+        return "".join([_DIGITS[a] for a in w])
+    except KeyError:
+        return ",".join(map(str, w)) + ("," if len(w) == 1 else "")

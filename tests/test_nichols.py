@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from lynhopf import words
+from lynhopf import nichols, words
 from lynhopf.freealg import (BraidedSpace, TensorElement, _bracket_value,
                              _bracket_word_value, coproduct, space_from_preset)
 from lynhopf.linalg import Eliminator, kernel, reduce_mod, rref
@@ -839,6 +839,44 @@ def test_pbw_matches_the_sweep_on_sampled_rank_two_root_spaces(m, a, b, c):
     check_pbw_against_sweep(m, a, b, c)
 
 
+def full_scan_pbw(R):
+    """The PBW scan without the full-rank stop: in every degree each
+    restricted word and each candidate is built in TV, projected and
+    inserted, in pbw_data's order."""
+    lyndon = words.enumerate_lyndon(R.space.dim, R.trunc)
+    heights = {}
+    for n in range(1, R.trunc + 1):
+        caps = {u: h - 1 for u, h in heights.items() if h is not None}
+        span = Eliminator(R.space.field)
+        for sw in sorted(words.monotonic_superwords(heights, n, caps),
+                         key=lambda sw: (sw[0] == sw[-1], sw)):
+            if span.insert(bracket_image(R, sw, words.concat(sw), n)):
+                continue
+            if sw[0] != sw[-1]:
+                raise RuntimeError(f"degree {n}: {sw} is dependent but not a power")
+            heights[sw[0]] = len(sw)
+        for u in lyndon:
+            if len(u) == n and span.insert(bracket_image(R, (u,), u, n)):
+                heights[u] = None
+    return tuple(PBWGenerator(u, h) for u, h in sorted(heights.items()))
+
+
+@pytest.mark.parametrize("m,a,b,c", [
+    (4, 2, 1, 0), (4, 2, 3, 0), (6, 3, 3, 1), *DEGREE_8_RAISERS])
+def test_full_rank_stop_keeps_results_and_errors_of_the_full_scan(m, a, b, c):
+    """Stopping each degree at rank dim R_n gives the full scan's data, and
+    on the item 11 raisers its RuntimeError, word for word."""
+    R = GradedQuotient(rank_two_root_space(m, a, b, c), "nichols", 10)
+    if (m, a, b, c) not in DEGREE_8_RAISERS:
+        assert pbw_data(R).generators == full_scan_pbw(R)
+        return
+    with pytest.raises(RuntimeError, match="^degree 8: ") as want:
+        full_scan_pbw(R)
+    with pytest.raises(RuntimeError) as got:
+        pbw_data(R)
+    assert str(got.value) == str(want.value)
+
+
 # ------------------------------------------------------- subquotient series
 
 def test_subquotient_free_super_letter(field):
@@ -977,6 +1015,7 @@ def test_factorization_enumerates_once_and_multiplies_nontrivial_factors(
     series object, and each distinct nontrivial series enters the product
     exactly once, raised to the number of factors it stands for.  Here 1 and
     2 share the series of 1/(1-t), and the factors equal to 1 share one."""
+    nichols._lyndon_buckets.cache_clear()
     R = GradedQuotient(space_from_preset("cartan-A2"), "nichols", 10)
     tables, powers = [], []
     enumerate_lyndon, power = words.enumerate_lyndon, PowerSeries.__pow__
@@ -1004,6 +1043,31 @@ def test_factorization_enumerates_once_and_multiplies_nontrivial_factors(
     assert [(id(s), k) for s, k in powers] == [
         (id(by_coeffs[s.coeffs]), k) for s, k in nontrivial.items()]
     assert sorted(k for _, k in powers) == [1, 2]
+
+
+def test_guarded_runs_enumerate_one_lyndon_table(monkeypatch):
+    """The guard's two primes read one Lyndon table: a guarded pbw_data or
+    verify_factorization enumerates once.  The memo keeps one table, so calls
+    alternating between two (D, top) keys enumerate once per call."""
+    tables = []
+    enumerate_lyndon = words.enumerate_lyndon
+
+    def counting_enumerate(d, n):
+        tables.append((d, n))
+        return enumerate_lyndon(d, n)
+
+    monkeypatch.setattr(words, "enumerate_lyndon", counting_enumerate)
+    for compute in (pbw_data, verify_factorization):
+        nichols._lyndon_buckets.cache_clear()
+        tables.clear()
+        run_guarded("cartan-A2(order=3)", 8,
+                    lambda sp: compute(GradedQuotient(sp, "nichols", 8)))
+        assert tables == [(2, 8)], compute
+    tables.clear()
+    for source, trunc in [("s3-rack", 4), ("cartan-A2", 6)] * 2:
+        run_guarded(source, trunc, lambda sp: verify_factorization(
+            GradedQuotient(sp, "nichols", trunc)))
+    assert tables == [(1, 4), (2, 6), (1, 4), (2, 6)]
 
 
 def ordered_product(factors, trunc):
@@ -1086,6 +1150,28 @@ def test_pbw_matches_per_candidate_oracle(field, d, trunc, seed):
             assert pbw_data(R).generators == oracle_pbw(R)
 
 
+def diagonal_at(fld, d, rng, roots):
+    """A seeded diagonal space over fld: sixth roots of unity, or random
+    nonzero residues."""
+    if roots:
+        zeta = fld.element_of_order(6)
+        q = [[pow(zeta, rng.randrange(6), fld.p) for _ in range(d)] for _ in range(d)]
+        return BraidedSpace(fld, d, "diagonal", q)
+    return random_diagonal(fld, d, rng)
+
+
+@pytest.mark.parametrize("p", [10009, 10039])
+@pytest.mark.parametrize("d,trunc,seed", [(2, 7, 1), (2, 7, 2), (3, 5, 3)])
+def test_full_rank_stop_matches_oracles_at_two_primes(p, d, trunc, seed):
+    """The scans that stop each degree at rank dim R_n against the
+    per-candidate and per-word oracles, which build every word in TV."""
+    rng = random.Random(7000 * d + seed)
+    for roots in (True, False):
+        R = GradedQuotient(diagonal_at(PrimeField(p), d, rng, roots), "nichols", trunc)
+        assert pbw_data(R).generators == oracle_pbw(R)
+        check_sweep_against_oracle(R)
+
+
 def b2_rational():
     """B2 at q = 2 over Q: q11 = q^2, q22 = q, q12 q21 = q^-2.  Its Serre
     relations have degrees 3 and 4."""
@@ -1149,6 +1235,26 @@ def test_images_in_r_match_projected_tv_bracket_words(name):
     assert any(not v for v in R._letters.values())
 
 
+def test_suffix_images_are_fresh_and_match_tv_bracket_words():
+    """Every sweep row of cartan-A2(order=3) through degree 10, imaged by
+    suffix, equals the projected TV bracket word, also when asked again after
+    the caller consumed the first copy."""
+    R = GradedQuotient(space_from_preset("cartan-A2(order=3)"), "nichols", 10)
+    live = [u for u in words.enumerate_lyndon(2, 10)
+            if R.project_terms(_bracket_value(R.space, u, u, "left"), len(u))]
+    rows = 0
+    for m in range(1, 11):
+        for sw in words.monotonic_superwords(live, m):
+            cw = words.concat(sw)
+            want = bracket_image(R, sw, cw, m)
+            got = nichols._image(R, sw, cw, m)
+            assert got == want, sw
+            got.clear()
+            assert nichols._image(R, sw, cw, m) == want, sw
+            rows += 1
+    assert rows > 30 and R._images
+
+
 DIAGONAL_PRESETS = ("quantum-plane", "quantum-plane(order=3)", "cartan-A2",
                     "cartan-A2(order=3)", "cartan-A2(order=4)",
                     "cartan-A2(rationals=1)")
@@ -1191,6 +1297,23 @@ def test_pbw_and_sweep_match_oracles_on_presented_quotient(qp_nichols):
     check_sweep_against_oracle(R)
 
 
+def rows_until_full_rank(R, live, m):
+    """How many rows the degree-m sweep images: the monotonic super-words
+    over `live` by last factor, descending, a power after the other words
+    with its last factor, each group descending; counted until the images,
+    built in TV, span R_m."""
+    span = Eliminator(R.space.field)
+    count = 0
+    for sw in sorted(words.monotonic_superwords(live, m),
+                     key=lambda sw: (sw[-1], sw[0] != sw[-1], sw), reverse=True):
+        if span.rank == R.dim(m):
+            break
+        span.insert(bracket_image(R, sw, words.concat(sw), m))
+        count += 1
+    assert span.rank == R.dim(m)
+    return count
+
+
 @pytest.mark.parametrize("preset,trunc,zero", [
     ("cartan-A2(order=3)", 10, [9, 10]),
     ("s3-rack", 7, [5, 6, 7]),
@@ -1201,8 +1324,9 @@ def test_sweep_builds_no_bracket_word_where_the_degree_is_zero(
     """A degree with R_m = 0 builds nothing.  Block braidings build one TV
     bracket word per coordinate word in every other degree.  Diagonal ones
     build no TV bracket word at all, compute no image in a degree without
-    relations either, and elsewhere one image per monotonic super-word over
-    the live letters (the Lyndon words whose bracket is nonzero in R)."""
+    relations either, and elsewhere image the monotonic super-words over the
+    live letters (the Lyndon words whose bracket is nonzero in R) in the
+    sweep's order only until their images span R_m."""
     from lynhopf import nichols
     R = GradedQuotient(space_from_preset(preset), "nichols", trunc)
     assert [m for m in range(trunc + 1) if R.dim(m) == 0] == zero
@@ -1228,7 +1352,7 @@ def test_sweep_builds_no_bracket_word_where_the_degree_is_zero(
         live = [u for u in words.enumerate_lyndon(R.space.dim, trunc)
                 if R.project_terms(_bracket_value(R.space, u, u, "left"), len(u))]
         assert Counter(imaged) == {
-            m: len(list(words.monotonic_superwords(live, m)))
+            m: rows_until_full_rank(R, live, m)
             for m in range(1, trunc + 1) if R.dim(m) and m not in free}
         assert all(R.dim(len(u)) for u in R._letters)
     else:
@@ -1302,6 +1426,21 @@ def test_matrix_cap_env(monkeypatch, field):
     monkeypatch.setenv("LH_MAX_MATRIX", "0")
     with pytest.raises(ValueError):
         R.dim(4)
+
+
+def test_matrix_cap_argument_is_checked_at_construction(monkeypatch, field):
+    """cap is None or an int >= 1 (bools excluded), like LH_MAX_MATRIX."""
+    sp = random_diagonal(field, 2, random.Random(261))
+    for cap in (True, False, 0, -5, 2.5, "100", 10.0):
+        with pytest.raises(ValueError, match="cap must be a positive integer or None"):
+            GradedQuotient(sp, "nichols", 4, cap=cap)
+    for cap in (None, 1, 10 ** 30):
+        assert GradedQuotient(sp, "free", 4, cap=cap).cap == cap
+    # the environment is still read in each degree when cap is None
+    R = GradedQuotient(sp, "nichols", 4)
+    monkeypatch.setenv("LH_MAX_MATRIX", "4")
+    with pytest.raises(MatrixCapExceeded, match="above the bound 4"):
+        R.dim(3)
 
 
 def test_matrix_cap_argument(field):

@@ -44,6 +44,22 @@ def test_factorize_recombines():
         assert prod == n
 
 
+def test_factorize_rejects_nonpositive_input():
+    """Trial division would divide 0 by 2 forever."""
+    assert factorize(1) == {} and factorize(2) == {2: 1}
+    for n in (0, -1, -12):
+        with pytest.raises(ValueError, match=f"only positive integers factor, got {n}"):
+            factorize(n)
+
+
+def test_primitive_root_rejects_non_primes():
+    """1 would reach factorize(0), and 9 would get the answer 2."""
+    for n in (1, 0, -7, 9, 10008):
+        with pytest.raises(ValueError, match=f"{n} is not prime"):
+            primitive_root(n)
+    assert primitive_root(2) == 1 and primitive_root(7) == 3
+
+
 def test_prime_field_validation():
     with pytest.raises(ValueError):
         PrimeField(10)

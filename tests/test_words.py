@@ -304,6 +304,26 @@ def test_concat_and_degree():
 
 # ---------------------------------------------------------------- parsing
 
+def format_word_oracle(w):
+    """Reference for format_word: the digit form exactly when every letter
+    prints as one character, else the comma form."""
+    digits = "".join(map(str, w))
+    if len(digits) == len(w):
+        return digits
+    return ",".join(map(str, w)) + ("," if len(w) == 1 else "")
+
+
+def test_format_word_matches_the_join_oracle():
+    rng = random.Random(21)
+    cases = [()] + [(a,) for a in range(-3, 13)]
+    for low, high in ((0, 9), (-3, 12)):
+        cases += [tuple(rng.randint(low, high) for _ in range(rng.randrange(1, 9)))
+                  for _ in range(300)]
+    for w in cases:
+        assert format_word(w) == format_word_oracle(w), w
+    assert {format_word(w).isdigit() for w in cases if w} == {True, False}
+
+
 def test_parse_and_format_word():
     assert parse_word("12122") == (1, 2, 1, 2, 2)
     assert parse_word("10,2,13") == (10, 2, 13)
