@@ -170,8 +170,8 @@ def _cmd_nichols_pbw(args) -> int:
 
 def _cmd_nichols_factorize(args) -> int:
     rep = _run_nichols(args, lambda R: nichols.verify_factorization(R, args.trunc))
-    one = series.PowerSeries.one(rep.trunc)
-    factors = [f for f in rep.factors if args.full or f.series != one]
+    one = series.PowerSeries.one(rep.trunc).coeffs
+    factors = [f for f in rep.factors if args.full or f.series.coeffs != one]
     out = {"ok": rep.ok, "trunc": rep.trunc, "lhs": rep.lhs.to_json(),
            "factors": [{"u": words.format_word(f.word),
                         "series": f.series.to_json()} for f in factors]}

@@ -3,6 +3,12 @@
 Vectors are dicts mapping comparable keys (words, pairs of words) to nonzero
 raw scalars.  The pivot of a vector is its minimal key, so families whose
 minimal keys are distinct eliminate with no arithmetic at all.
+
+Over the guard ring Z/(p1 p2) (scalars.PairField) working rows reduce
+through axpy_unchecked, so their fill-in may be zero at one prime only.
+That is exact: a lead is acted on only through inv, which signals a split
+on a non-unit, so leads, pivots and ranks are each prime's.  rref, and so
+kernel, checks its result; contains answers only on a unit lead.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ class Eliminator:
             row = self.pivots.get(lead)
             if row is None:
                 return vec
-            self.field.axpy(vec, row, -vec[lead])
+            self.field.axpy_unchecked(vec, row, -vec[lead])
         return vec
 
     def insert(self, vec: dict) -> bool:
@@ -47,7 +53,10 @@ class Eliminator:
 
     def contains(self, vec: dict) -> bool:
         """Membership test; does not change the span.  Consumes the dict."""
-        return not self._sweep(vec)
+        vec = self._sweep(vec)
+        if vec:
+            self.field.check_unsplit((vec[min(vec)],))
+        return not vec
 
 
 def rref(field, rows) -> dict:
@@ -64,6 +73,7 @@ def rref(field, rows) -> dict:
     done: dict = {}
     for lead in sorted(pivots, reverse=True):
         done[lead] = pivots[lead] = reduce_mod(field, pivots[lead], done)
+    field.check_unsplit(v for row in pivots.values() for v in row.values())
     return pivots
 
 
@@ -71,7 +81,7 @@ def reduce_mod(field, vec: dict, pivots: dict) -> dict:
     """Residual of vec modulo an rref pivot map (single pass; needs full rref)."""
     vec = dict(vec)
     for lead in [k for k in vec if k in pivots]:
-        field.axpy(vec, pivots[lead], -vec[lead])
+        field.axpy_unchecked(vec, pivots[lead], -vec[lead])
     return vec
 
 

@@ -26,9 +26,9 @@ from .freealg import BraidedSpace, TensorElement, _apply_slot, _concat
 # bench/tracing.py wraps both names.
 from .freealg import _bracket_value as _block_bracket
 from .freealg import _bracket_word_value as _block_bracket_word
-from .freealg import build_space, coproduct, source_requirements
+from .freealg import build_space, coproduct, fused_space, source_requirements
 from .linalg import Eliminator, kernel, rref
-from .scalars import next_prime_with
+from .scalars import PairField, next_prime_with
 from .series import PowerSeries, geometric_factor
 
 DEFAULT_MATRIX_CAP = 20000
@@ -468,8 +468,9 @@ def _lyndon_table(R: GradedQuotient, D: int, degrees: range) -> tuple:
 @functools.lru_cache(maxsize=1)
 def _lyndon_buckets(D: int, top: int) -> tuple:
     """The Lyndon words over D letters of length <= top, as a tuple of
-    per-length tuples.  One entry: run_guarded's second prime reads the
-    first one's table, and the next call with other (D, top) evicts it."""
+    per-length tuples.  One entry: when run_guarded falls back to one run
+    per prime, the second reads the first one's table, and the next call
+    with other (D, top) evicts it."""
     table: list = [[] for _ in range(top + 1)]
     for u in words.enumerate_lyndon(D, top) if top else ():
         table[len(u)].append(u)
@@ -496,7 +497,8 @@ def _sweep(R: GradedQuotient, m: int, lyndon):
     every count is 1, because each bracket word is its concatenation plus
     lex-larger words (Kharchenko 1999) and the rows have distinct
     concatenations.  Once the span has rank dim R_m no later image can
-    raise it, so the sweep inserts no more rows and every later count is 0.
+    raise it, so the sweep inserts no more rows, nor the rest of a row's
+    coordinate words, and every later count is 0.
     """
     part = R.space.component_partition()
     dim = R.dim(m)  # builds degree m, so R._free_through covers it
@@ -514,8 +516,12 @@ def _sweep(R: GradedQuotient, m: int, lyndon):
 
     def insert(sw) -> int:
         slots = (part[b - 1] for b in words.concat(sw))
-        return sum(span.insert(_image(R, sw, cw, m))
-                   for cw in itertools.product(*slots))
+        rank = span.rank
+        for cw in itertools.product(*slots):
+            if span.rank == dim:
+                break
+            span.insert(_image(R, sw, cw, m))
+        return span.rank - rank
 
     i = 0
     for u in steps:
@@ -524,7 +530,7 @@ def _sweep(R: GradedQuotient, m: int, lyndon):
             i += 1
             if sw[0] != sw[-1]:
                 insert(sw)
-        yield u, insert((u,) * (m // len(u))) if u in live and span.rank < dim else 0
+        yield u, insert((u,) * (m // len(u))) if u in live else 0
     if span.rank != dim:
         raise RuntimeError(
             f"degree {m}: the bracket words span rank {span.rank}, "
@@ -623,10 +629,16 @@ def run_guarded(source, trunc: int, compute, prime: int | None = None,
                 second_prime: int | None = None):
     """Run a computation over two primes and insist the results agree.
 
-    `compute` maps a BraidedSpace to any comparable value.  Sources over the
-    rationals run once; modular sources are re-instantiated at a second
-    compatible prime (same declared root orders, all literal entries still
-    units) and a mismatch raises BadPrimeError.
+    `compute` maps a BraidedSpace to a comparable value that does not depend
+    on the field: counts, words, series and reports made of them, not raw
+    scalars.  Sources over the rationals run once.  Modular sources are also
+    built at a second compatible prime (same declared root orders, all
+    literal entries still units), and compute runs once over the guard ring
+    Z/(p1 p2), which is both primes in lockstep (scalars.PairField).  That
+    run is dropped if it splits: a value zero at one prime only, or a field
+    read with no componentwise meaning (p, char, format, to_json, orders).
+    Then compute runs at each prime in turn and a mismatch raises
+    BadPrimeError.  A fused run that finishes returns what both would.
     """
     space = build_space(source, prime=prime, trunc=trunc)
     if space.field.char == 0:
@@ -638,6 +650,14 @@ def run_guarded(source, trunc: int, compute, prime: int | None = None,
     if second_prime == p1:
         raise ValueError("the two guard primes must differ")
     other = build_space(source, prime=second_prime, trunc=trunc)
+    ring = PairField(p1, second_prime)
+    try:
+        result = compute(fused_space(ring, space, other))
+        if not ring.split:
+            return result
+    except Exception:
+        if not ring.split:
+            raise
     first = compute(space)
     del space
     second = compute(other)

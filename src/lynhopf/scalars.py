@@ -1,4 +1,5 @@
-"""Exact coefficient fields: prime fields F_p and the rationals.
+"""Exact coefficient fields: prime fields F_p and the rationals, plus the
+guard ring Z/(p1 p2) that runs two prime fields at once.
 
 Scalars are stored raw (int residues in 0..p-1, or Fraction); the Field
 object supplies the arithmetic.  Both fields parse and print the same
@@ -87,38 +88,32 @@ def _parse_fraction(s: str) -> Fraction:
     return f
 
 
-class PrimeField:
-    """F_p with residues 0..p-1 as raw scalar values."""
+class PrimeSplit(Exception):
+    """A value of the guard ring is zero at one prime only, or a read has no
+    meaning there.  No ValueError, RuntimeError, ArithmeticError, KeyError or
+    OSError, so no handler of the library's own errors catches it."""
 
-    def __init__(self, p: int):
-        if not isinstance(p, int) or not 2 <= p < MAX_PRIME:
-            raise ValueError(f"prime must be an integer in [2, 2^62), got {p!r}")
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        self.p = p
+
+class _ModularField:
+    """Residues 0..m-1 as raw scalar values: the arithmetic that F_p and the
+    guard ring Z/(p1 p2) share."""
+
+    def __init__(self, modulus: int):
+        self.modulus = modulus
         self.zero = 0
-        self.one = 1 % p
-
-    @property
-    def char(self) -> int:
-        return self.p
+        self.one = 1 % modulus
 
     def add(self, a, b):
-        return (a + b) % self.p
+        return (a + b) % self.modulus
 
     def sub(self, a, b):
-        return (a - b) % self.p
+        return (a - b) % self.modulus
 
     def neg(self, a):
-        return -a % self.p
+        return -a % self.modulus
 
     def mul(self, a, b):
-        return a * b % self.p
-
-    def inv(self, a):
-        if a % self.p == 0:
-            raise ZeroDivisionError(f"0 is not invertible in F_{self.p}")
-        return pow(a, self.p - 2, self.p)
+        return a * b % self.modulus
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -128,14 +123,41 @@ class PrimeField:
 
         `c` may be any integer, negative or unreduced.  Returns `out`.
         """
-        p = self.p
+        m = self.modulus
         for k, v in vec.items():
-            s = (out.get(k, 0) + c * v) % p
+            s = (out.get(k, 0) + c * v) % m
             if s:
                 out[k] = s
             else:
                 out.pop(k, None)
         return out
+
+    # Elimination fill-in (linalg): over a field, plain axpy.
+    axpy_unchecked = axpy
+
+    def check_unsplit(self, values) -> None:
+        """Over a field no value splits."""
+
+
+class PrimeField(_ModularField):
+    """F_p with residues 0..p-1 as raw scalar values."""
+
+    def __init__(self, p: int):
+        if not isinstance(p, int) or not 2 <= p < MAX_PRIME:
+            raise ValueError(f"prime must be an integer in [2, 2^62), got {p!r}")
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        super().__init__(p)
+        self.p = p
+
+    @property
+    def char(self) -> int:
+        return self.p
+
+    def inv(self, a):
+        if a % self.p == 0:
+            raise ZeroDivisionError(f"0 is not invertible in F_{self.p}")
+        return pow(a, self.p - 2, self.p)
 
     def from_int(self, n: int):
         return n % self.p
@@ -178,6 +200,104 @@ class PrimeField:
 
     def __hash__(self):
         return hash(("PrimeField", self.p))
+
+
+class PairField(_ModularField):
+    """The guard ring Z/(p1 p2), which is F_p1 x F_p2 by the CRT: one residue
+    carries a value of each prime field, so one run over it is a run at each
+    prime, in lockstep, as long as every value it stores is zero at both
+    primes or at neither.
+
+    A value zero at one prime only is a split: the two runs would branch
+    apart there.  axpy, add, sub, from_int and parse signal one on such a
+    result, inv on a non-unit, and p, char, format, to_json and the order
+    methods, which have no componentwise meaning, always.  Signalling sets
+    `split` and raises PrimeSplit, so a caller that swallows the exception
+    still sees it.  axpy_unchecked reduces without the check, for
+    elimination fill-in (see linalg)."""
+
+    def __init__(self, p1: int, p2: int):
+        for p in (p1, p2):
+            PrimeField(p)  # the same checks
+        if p1 == p2:
+            raise ValueError("the two primes must differ")
+        super().__init__(p1 * p2)
+        self.primes = (p1, p2)
+        self.split = False
+        self._lift = pow(p1, -1, p2)
+
+    def signal_split(self, what: str):
+        self.split = True
+        raise PrimeSplit(f"{what} splits between F_{self.primes[0]} "
+                         f"and F_{self.primes[1]}")
+
+    def _unsplit(self, s):
+        """The residue s, once checked to be zero at both primes or neither."""
+        p1, p2 = self.primes
+        if (s % p1 == 0) != (s % p2 == 0):
+            self.signal_split(f"residue {s}")
+        return s
+
+    def check_unsplit(self, values) -> None:
+        for s in values:
+            self._unsplit(s)
+
+    def crt(self, a, b):
+        """The residue that is a mod p1 and b mod p2 (a, b reduced)."""
+        p1, p2 = self.primes
+        return self._unsplit(a + p1 * ((b - a) * self._lift % p2))
+
+    def add(self, a, b):
+        return self._unsplit(super().add(a, b))
+
+    def sub(self, a, b):
+        return self._unsplit(super().sub(a, b))
+
+    def inv(self, a):
+        if math.gcd(a, self.modulus) != 1:
+            self.signal_split(f"inverse of {a}")
+        return pow(a, -1, self.modulus)
+
+    def axpy(self, out: dict, vec: dict, c) -> dict:
+        """_ModularField.axpy, then a split check of every entry it touched."""
+        super().axpy(out, vec, c)
+        p1, p2 = self.primes
+        for k in vec:
+            s = out.get(k, 0)
+            if (s % p1 == 0) != (s % p2 == 0):
+                self.signal_split(f"residue {s}")
+        return out
+
+    axpy_unchecked = _ModularField.axpy
+
+    def from_int(self, n: int):
+        return self._unsplit(n % self.modulus)
+
+    def parse(self, s: str):
+        f = _parse_fraction(s)
+        return self._unsplit(
+            self.mul(f.numerator, self.inv(f.denominator % self.modulus)))
+
+    @property
+    def p(self):
+        self.signal_split("the characteristic")
+
+    char = p
+
+    def format(self, a):
+        self.signal_split("formatting")
+
+    def to_json(self):
+        self.signal_split("to_json")
+
+    def multiplicative_order(self, a):
+        self.signal_split("a multiplicative order")
+
+    def element_of_order(self, m: int):
+        self.signal_split("an element of given order")
+
+    def __repr__(self):
+        return f"PairField({self.primes[0]}, {self.primes[1]})"
 
 
 class RationalField:
@@ -225,6 +345,11 @@ class RationalField:
             else:
                 out.pop(k, None)
         return out
+
+    axpy_unchecked = axpy
+
+    def check_unsplit(self, values) -> None:
+        """Over a field no value splits."""
 
     def from_int(self, n: int):
         return Fraction(n)

@@ -19,11 +19,12 @@ MAX_ALPHABET = 64
 
 
 def validate_word(w: Sequence[int], d: int | None = None) -> Word:
-    """Return w as a canonical tuple, checking letters lie in 1..d."""
+    """Return w as a canonical tuple, checking letters are ints (not bools)
+    in 1..d."""
     w = tuple(w)
     top = d if d is not None else MAX_ALPHABET
     for a in w:
-        if not isinstance(a, int) or a < 1 or a > top:
+        if type(a) is not int or a < 1 or a > top:
             raise ValueError(f"letter {a!r} outside alphabet 1..{top}")
     return w
 

@@ -15,8 +15,8 @@ from lynhopf.freealg import (PRESET_NAMES, BraidedSpace, TensorSquareElement,
                              expand_monotonic_basis, leading_vector,
                              space_from_json, space_from_preset,
                              source_requirements, validate_braiding)
-from lynhopf.scalars import (PrimeField, RationalField, next_prime_with,
-                             primitive_root)
+from lynhopf.scalars import (PairField, PrimeField, PrimeSplit, RationalField,
+                             next_prime_with, primitive_root)
 
 from conftest import random_diagonal, swap_block_matrix
 
@@ -1007,3 +1007,48 @@ def test_preset_rejects_unknown_and_conflicting_parameters(text):
         with pytest.raises(ValueError) as exc:
             read(text)
         assert str(exc.value) == PRESET_PARAMETER_ERRORS[text]
+
+
+# ---------------------------------------------------------------- guard ring
+
+def test_fused_space_is_both_prime_spaces():
+    """Braiding, brackets and coproducts over the fused space reduce to
+    those of each prime's space, and building it validates nothing."""
+    for source, p1, p2 in [("cartan-A2", 10007, 10009),
+                           ("cartan-A2(order=3)", 10009, 10039),
+                           ("s3-rack", 10007, 10009), ("quantum-plane", 7, 11)]:
+        a, b = build_space(source, prime=p1), build_space(source, prime=p2)
+        ring = PairField(p1, p2)
+        checks = freealg._validated_braiding.cache_info()
+        fused = freealg.fused_space(ring, a, b)
+        after = freealg._validated_braiding.cache_info()
+        assert (after.hits, after.misses) == (checks.hits, checks.misses)
+        assert (fused.field, fused.dim, fused.kind) == (ring, a.dim, a.kind)
+        assert fused._cache == {}
+
+        def parts(terms):
+            return [{k: v % p for k, v in terms.items() if v % p} for p in (p1, p2)]
+
+        ws = [w for n in (1, 2) for w in itertools.product(range(1, a.dim + 1), repeat=n)]
+        for u in ws:
+            for v in ws:
+                for inverse in (False, True):
+                    assert parts(fused.braid_words(u, v, inverse)) == [
+                        a.braid_words(u, v, inverse), b.braid_words(u, v, inverse)]
+        for u in words.enumerate_lyndon(a.dim, 4):
+            for flavor in ("left", "double"):
+                assert parts(bracket(fused, u, flavor).value.terms) == [
+                    bracket(sp, u, flavor).value.terms for sp in (a, b)]
+            assert parts(coproduct(bracket(fused, u).value).terms) == [
+                coproduct(bracket(sp, u).value).terms for sp in (a, b)]
+        assert not ring.split
+
+
+def test_fused_space_splits_on_braiding_supports_that_differ():
+    a, b = build_space("s3-rack", prime=10007), build_space("s3-rack", prime=10009)
+    b._cmap = {k: dict(v) for k, v in b._cmap.items()}
+    b._cmap[(1, 2)][(2, 2)] = 5  # an entry that is zero mod 10007 only
+    ring = PairField(10007, 10009)
+    with pytest.raises(PrimeSplit):
+        freealg.fused_space(ring, a, b)
+    assert ring.split

@@ -9,7 +9,7 @@ import pytest
 from lynhopf.freealg import space_from_preset
 from lynhopf.linalg import Eliminator, kernel, reduce_mod, rref
 from lynhopf.nichols import symmetrizer
-from lynhopf.scalars import PrimeField, RationalField
+from lynhopf.scalars import PairField, PrimeField, PrimeSplit, RationalField
 
 from conftest import random_diagonal
 
@@ -268,3 +268,109 @@ def test_kernel_matches_two_pass_oracle_on_symmetrizers(name):
         basis = kernel(field, cols)
         assert basis == oracle_kernel(field, cols), n
         assert_reduced_kernel(field, basis)
+
+
+# ---------------------------------------------------- over the guard ring
+
+def at_prime(p, vec: dict) -> dict:
+    return {k: v % p for k, v in vec.items() if v % p}
+
+
+def random_ring_rows(rng, ring, n_rows, n_keys):
+    """Sparse rows whose entries are units of Z/(p1 p2): zero at neither
+    prime, as the values stored outside elimination are."""
+    units = [x for x in range(1, ring.modulus) if all(x % p for p in ring.primes)]
+    return [{k: rng.choice(units) for k in rng.sample(range(n_keys),
+                                                      rng.randint(1, n_keys))}
+            for _ in range(n_rows)]
+
+
+def test_ring_elimination_is_both_primes_or_splits():
+    """rref, kernel and the Eliminator over Z/(7*11) either signal a split or
+    give exactly the results over F_7 and over F_11, entry by entry."""
+    rng = random.Random(2202)
+    finished = split = 0
+    for trial in range(400):
+        ring = PairField(7, 11)
+        rows = random_ring_rows(rng, ring, rng.randint(1, 5), 5)
+        fields = [PrimeField(p) for p in ring.primes]
+        try:
+            got = rref(ring, rows)
+            columns = {i: row for i, row in enumerate(rows)}
+            basis = kernel(ring, columns)
+            elim = Eliminator(ring)
+            inserted = [elim.insert(dict(r)) for r in rows[:-1]]
+            member = elim.contains(dict(rows[-1]))
+        except PrimeSplit:
+            assert ring.split
+            split += 1
+            continue
+        finished += 1
+        assert not ring.split
+        for fld in fields:
+            p = fld.p
+            assert {k: at_prime(p, r) for k, r in got.items()} == rref(
+                fld, [at_prime(p, r) for r in rows]), (trial, p)
+            assert {k: at_prime(p, v) for k, v in basis.items()} == kernel(
+                fld, {i: at_prime(p, r) for i, r in enumerate(rows)}), (trial, p)
+            elim_p = Eliminator(fld)
+            assert inserted == [elim_p.insert(at_prime(p, r)) for r in rows[:-1]]
+            assert member == elim_p.contains(at_prime(p, rows[-1]))
+            assert elim.rank == elim_p.rank
+    assert finished > 100 and split > 20, (finished, split)
+
+
+def test_ring_rref_and_contains_refuse_split_results():
+    """Fill-in zero at one prime only may sit in working rows, but rref does
+    not return it and contains does not answer on it."""
+    ring = PairField(7, 11)
+    # row 2 - row 1 = x1 + 7 x2: over F_7 the x2 entry vanishes
+    rows = [{0: 1, 2: 1}, {0: 1, 1: 1, 2: 8}]
+    assert rref(PrimeField(7), rows) == {0: {0: 1, 2: 1}, 1: {1: 1}}
+    assert rref(PrimeField(11), rows) == {0: {0: 1, 2: 1}, 1: {1: 1, 2: 7}}
+    with pytest.raises(PrimeSplit):
+        rref(ring, rows)
+    assert ring.split
+    ring = PairField(7, 11)
+    elim = Eliminator(ring)
+    assert elim.insert({0: 1, 1: 1})
+    # the residual 7 x2 is zero in F_7 only: member at 7, not at 11
+    with pytest.raises(PrimeSplit):
+        elim.contains({0: 1, 1: 1, 2: 7})
+    assert ring.split
+    ring = PairField(7, 11)
+    elim = Eliminator(ring)
+    elim.insert({0: 1, 1: 1})
+    assert not elim.contains({0: 1, 2: 1}) and elim.contains({0: 2, 1: 2})
+    # an insert whose lead is zero at one prime only signals too
+    with pytest.raises(PrimeSplit):
+        elim.insert({0: 1, 1: 8})
+    assert ring.split
+
+
+def test_ring_rref_splits_only_at_a_lead_or_on_differing_results():
+    """Back substitution reduces without the split check: once forward
+    elimination has passed, rref over the ring splits only when the
+    results over F_7 and F_11 differ in their supports."""
+    rng = random.Random(2203)
+    checked = 0
+    for trial in range(600):
+        ring = PairField(7, 11)
+        rows = random_ring_rows(rng, ring, rng.randint(2, 5), 6)
+        try:
+            elim = Eliminator(ring)
+            for r in rows:
+                elim.insert(dict(r))
+        except PrimeSplit:
+            continue  # a lead split: the two primes eliminate differently
+        supports = [{k: set(r) for k, r in rref(
+            PrimeField(p), [at_prime(p, r) for r in rows]).items()}
+            for p in ring.primes]
+        try:
+            rref(ring, rows)
+        except PrimeSplit:
+            assert supports[0] != supports[1], trial
+            checked += 1
+        else:
+            assert supports[0] == supports[1], trial
+    assert checked > 10, checked

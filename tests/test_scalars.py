@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from lynhopf.scalars import (MAX_PRIME, PrimeField, RationalField,
-                             factorize, field_from_json, is_prime,
-                             next_prime_with, primitive_root)
+from lynhopf.scalars import (MAX_PRIME, PairField, PrimeField, PrimeSplit,
+                             RationalField, factorize, field_from_json,
+                             is_prime, next_prime_with, primitive_root)
 
 
 def sieve(n):
@@ -240,3 +240,83 @@ def test_axpy(fld):
         assert fld.zero not in out.values()
         if fld.char:
             assert all(0 <= v < fld.p for v in out.values())
+
+
+# ---------------------------------------------------------------- guard ring
+
+def pair_parts(ring, x):
+    return tuple(x % p for p in ring.primes)
+
+
+def test_pair_field_is_both_prime_fields():
+    """Every operation of Z/(7*11) reduces to the same operation in F_7 and
+    F_11, and a result zero at one prime only is a split."""
+    ring = PairField(7, 11)
+    f7, f11 = PrimeField(7), PrimeField(11)
+    assert (ring.modulus, ring.zero, ring.one) == (77, 0, 1)
+    for a in range(7):
+        for b in range(11):
+            if (a == 0) != (b == 0):
+                with pytest.raises(PrimeSplit):
+                    ring.crt(a, b)
+                ring.split = False
+            else:
+                assert pair_parts(ring, ring.crt(a, b)) == (a, b)
+    units = [x for x in range(77) if x % 7 and x % 11]
+    for a in units + [0]:
+        for b in units + [0]:
+            parts = pair_parts(ring, a), pair_parts(ring, b)
+            assert pair_parts(ring, ring.mul(a, b)) == (
+                f7.mul(parts[0][0], parts[1][0]), f11.mul(parts[0][1], parts[1][1]))
+            assert pair_parts(ring, ring.neg(a)) == (f7.neg(parts[0][0]),
+                                                     f11.neg(parts[0][1]))
+            s = (a + b) % 77
+            if (s % 7 == 0) != (s % 11 == 0):
+                with pytest.raises(PrimeSplit):
+                    ring.add(a, b)
+                assert ring.split
+                ring.split = False
+            else:
+                assert ring.add(a, b) == s
+        if a:
+            assert pair_parts(ring, ring.inv(a)) == (f7.inv(a % 7), f11.inv(a % 11))
+    assert not ring.split
+
+
+def test_pair_field_signals_splits():
+    ring = PairField(7, 11)
+    splits = [
+        lambda: ring.from_int(14), lambda: ring.parse("22"),
+        lambda: ring.parse("1/7"), lambda: ring.parse("3/77"),
+        lambda: ring.inv(0), lambda: ring.inv(7), lambda: ring.crt(0, 5),
+        lambda: ring.axpy({1: 1}, {1: 6}, 1),
+        lambda: ring.p, lambda: ring.char, lambda: ring.format(3),
+        lambda: ring.to_json(), lambda: ring.multiplicative_order(2),
+        lambda: ring.element_of_order(2),
+    ]
+    for i, split in enumerate(splits):
+        ring.split = False
+        with pytest.raises(PrimeSplit):
+            split()
+        assert ring.split, i
+    ring.split = False
+    assert ring.from_int(77) == 0 and ring.from_int(-1) == 76
+    assert pair_parts(ring, ring.parse("3/2")) == (
+        PrimeField(7).parse("3/2"), PrimeField(11).parse("3/2"))
+    assert ring.axpy({1: 1, 2: 5}, {1: 76, 2: 1, 3: 2}, 1) == {2: 6, 3: 2}
+    # elimination fill-in reduces without the check
+    assert ring.axpy_unchecked({1: 1}, {1: 6}, 1) == {1: 7}
+    assert not ring.split
+    with pytest.raises(ValueError, match="cannot parse"):
+        ring.parse("x")  # a parse error is the same at both primes
+    assert not ring.split
+
+
+def test_pair_field_construction():
+    for bad in ((7, 7), (7, 9), (1, 7), (7.0, 11)):
+        with pytest.raises(ValueError):
+            PairField(*bad)
+    assert repr(PairField(7, 11)) == "PairField(7, 11)"
+    for fld in (PrimeField(7), RationalField()):
+        assert fld.axpy_unchecked == fld.axpy
+        assert fld.check_unsplit([0, 1]) is None

@@ -350,6 +350,15 @@ def test_validate_word_bounds():
         validate_word((words.MAX_ALPHABET + 1,))
 
 
+def test_validate_word_rejects_bools_and_non_ints():
+    """True is an int subclass equal to 1; enumerate_lyndon rejects it
+    too, and format_word would print it as the letter 1."""
+    for w in ([True, 2], (1, False), (2.0,), ("1",)):
+        with pytest.raises(ValueError, match=r"letter .* outside alphabet 1\.\.3"):
+            validate_word(w, 3)
+    assert validate_word([1, 3], 3) == (1, 3)
+
+
 # ---------------------------------------------------------------- properties
 
 word_st = st.lists(st.integers(1, 3), min_size=0, max_size=14).map(tuple)
