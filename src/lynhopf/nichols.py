@@ -14,7 +14,6 @@ in TV and project them.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import os
 from collections import Counter
@@ -158,8 +157,7 @@ class GradedQuotient:
         self._dims: list = [1, space.dim]
         self._basis: list = [((),), tuple((a,) for a in letters)]
         self._nf: dict = {(): {(): one}}
-        self._letters: dict = {}  # Lyndon word u -> pi[u] (diagonal braidings)
-        self._images: dict = {}  # super-word sw, |sw| >= 2 -> pi[sw] (likewise)
+        self._images: dict = {}  # super-word sw -> pi[sw] (diagonal braidings)
         self._free_through = 1  # no relation rows in degrees <= this
         # (n, D_n), n the latest degree, in (standard word, letter) coordinates
         self._derivation = (1, {(a,): {((), a): one} for a in letters})
@@ -253,38 +251,32 @@ class GradedQuotient:
         """Product in R of coordinates x and y whose degrees add up to n."""
         return self.project_terms(_concat(self.space.field, x, y), n)
 
-    def _bracket_image(self, u: tuple) -> dict:
-        """pi[u] for a Lyndon word u over a diagonal braiding, memoized.  pi
-        is an algebra map and the twist of [v][w] is one scalar f, so at the
-        Shirshov split u = vw, pi[u] = pi[v].pi[w] - f.pi[w].pi[v]."""
-        hit = self._letters.get(u)
+    def _superword_image(self, sw: tuple, n: int) -> dict:
+        """pi[sw] for a super-word sw of degree n over a diagonal braiding,
+        memoized.  pi is an algebra map and normal forms in R are unique, so
+        pi[sw] = pi[sw[0]].pi[sw[1:]] by suffix.  A Lyndon letter u is the
+        super-word (u,): the twist of [v][w] is one scalar f, so at the
+        Shirshov split u = vw, pi[u] = pi[v].pi[w] - f.pi[w].pi[v].  The
+        memo's dicts are shared; callers must not mutate them."""
+        hit = self._images.get(sw)
         if hit is None:
             field = self.space.field
-            if len(u) == 1:
+            u = sw[0]
+            if len(sw) > 1:
+                hit = self._times(self._superword_image((u,), len(u)),
+                                  self._superword_image(sw[1:], n - len(u)), n)
+            elif len(u) == 1:
                 hit = {u: field.one}
             else:
                 v, w = words.shirshov(u)
-                a, b = self._bracket_image(v), self._bracket_image(w)
+                a = self._superword_image((v,), len(v))
+                b = self._superword_image((w,), len(w))
                 hit = {}
                 if a and b:
                     [f] = self.space.braid_words(v, w, True).values()
-                    hit = field.axpy(self._times(a, b, len(u)),
-                                     self._times(b, a, len(u)), field.neg(f))
-            self._letters[u] = hit
-        return hit
-
-    def _superword_image(self, sw: tuple, n: int) -> dict:
-        """pi[sw] for a super-word sw of degree n over a diagonal braiding,
-        memoized by suffix: pi[sw] = pi[sw[0]].pi[sw[1:]].  Normal forms in R
-        are unique, so this is the left-to-right product of the letters'
-        images.  The memo's dicts are shared; callers must not mutate them."""
-        if len(sw) == 1:
-            return self._bracket_image(sw[0])
-        hit = self._images.get(sw)
-        if hit is None:
-            hit = self._images[sw] = self._times(
-                self._bracket_image(sw[0]),
-                self._superword_image(sw[1:], n - len(sw[0])), n)
+                    hit = field.axpy(self._times(a, b, n), self._times(b, a, n),
+                                     field.neg(f))
+            self._images[sw] = hit
         return hit
 
     def _check_coideal(self, n: int):
@@ -456,25 +448,17 @@ def pbw_series(data: PBWData, trunc: int | None = None) -> PowerSeries:
     return out
 
 
-def _lyndon_table(R: GradedQuotient, D: int, degrees: range) -> tuple:
+def _lyndon_table(R: GradedQuotient, D: int, degrees: range) -> list:
     """Lyndon words over D letters up to the last of `degrees`, bucketed by
-    length: entry n lists those of length n in lex order.  Read once every
-    degree has passed the cap, in ascending order, from _lyndon_buckets."""
+    length: entry n lists those of length n in lex order.  Enumerated once
+    every degree has passed the cap, in ascending order."""
     for m in degrees:
         _check_cap(R.space, m, R.cap)
-    return _lyndon_buckets(D, degrees[-1] if degrees else 0)
-
-
-@functools.lru_cache(maxsize=1)
-def _lyndon_buckets(D: int, top: int) -> tuple:
-    """The Lyndon words over D letters of length <= top, as a tuple of
-    per-length tuples.  One entry: when run_guarded falls back to one run
-    per prime, the second reads the first one's table, and the next call
-    with other (D, top) evicts it."""
+    top = degrees[-1] if degrees else 0
     table: list = [[] for _ in range(top + 1)]
     for u in words.enumerate_lyndon(D, top) if top else ():
         table[len(u)].append(u)
-    return tuple(map(tuple, table))
+    return table
 
 
 def _sweep(R: GradedQuotient, m: int, lyndon):
@@ -509,7 +493,7 @@ def _sweep(R: GradedQuotient, m: int, lyndon):
         yield from ((u, min(dim, 1)) for u in steps)
         return
     live = {u for bucket in lyndon[1:m + 1] for u in bucket
-            if not diagonal or R._bracket_image(u)}
+            if not diagonal or R._superword_image((u,), len(u))}
     rows = sorted(words.monotonic_superwords(live, m), key=lambda sw: sw[-1],
                   reverse=True)
     span = Eliminator(R.space.field)

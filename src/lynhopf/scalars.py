@@ -20,14 +20,16 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 def _int_memo(f):
     """Memoize f per process in a bounded memo, after checking that its first
     argument is an int: 7.0 and True would otherwise hit the entries of 7
-    and 1.  Further arguments are sequences, frozen to tuples for the key."""
-    memo = functools.lru_cache(maxsize=256)(f)
+    and 1.  Further arguments are sequences, frozen to tuples for the key,
+    which also holds the types of their items, for the same reason."""
+    memo = functools.lru_cache(maxsize=256)(lambda n, args, types: f(n, *args))
 
     @functools.wraps(f)
     def checked(n, *args):
         if type(n) is not int:
             raise ValueError(f"{f.__name__} needs an int, got {n!r}")
-        return memo(n, *map(tuple, args))
+        args = tuple(map(tuple, args))
+        return memo(n, args, tuple(type(x) for a in args for x in a))
     checked.cache_clear = memo.cache_clear
     return checked
 
@@ -37,7 +39,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, valid far beyond 2^62."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
@@ -412,8 +414,11 @@ def next_prime_with(start: int, order_divisors: tuple = (), units: tuple = ()) -
     """Smallest prime p >= start with each m | p-1 and each unit nonzero mod p.
 
     `units` are Fractions (or ints) whose numerator and denominator must both
-    be invertible mod p.
+    be invertible mod p.  Each order divisor must be an int >= 1.
     """
+    if any(type(m) is not int or m < 1 for m in order_divisors):
+        raise ValueError(
+            f"order divisors must be integers >= 1, got {order_divisors!r}")
     step = math.lcm(1, *order_divisors)
     fr = [Fraction(u) for u in units]
     if any(f == 0 for f in fr):

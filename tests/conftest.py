@@ -5,19 +5,8 @@ import random
 
 import pytest
 
-from lynhopf import nichols
 from lynhopf.freealg import BraidedSpace
 from lynhopf.scalars import PrimeField
-
-
-@pytest.fixture(autouse=True)
-def fresh_lyndon_table():
-    """nichols keeps the last Lyndon table it read: clear it around every
-    test, so that a table built by a patched words.enumerate_lyndon does not
-    outlive its test."""
-    nichols._lyndon_buckets.cache_clear()
-    yield
-    nichols._lyndon_buckets.cache_clear()
 
 
 @pytest.fixture

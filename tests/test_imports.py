@@ -1,5 +1,6 @@
-"""The runtime stays pure standard library, only freealg reads the internals
-of a space, and the names the bench tracer wraps exist."""
+"""The runtime stays pure standard library, keeps only the listed
+process-wide memos, only freealg reads the internals of a space, and the
+names the bench tracer wraps exist."""
 
 import ast
 import importlib
@@ -27,6 +28,29 @@ def test_src_imports_only_the_standard_library():
     outside = {(p.name, name) for p in files for name in imported_modules(p)
                if name not in allowed}
     assert outside == set()
+
+
+def memo_decorated(path: Path):
+    """Names of the functions in one source file that carry a process-wide
+    memo: functools.lru_cache, functools.cache or scalars._int_memo, bare,
+    called or through a module attribute."""
+    memos = {"lru_cache", "cache", "_int_memo"}
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.FunctionDef):
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                name = getattr(target, "attr", getattr(target, "id", None))
+                if name in memos:
+                    yield node.name
+
+
+def test_process_wide_memos_are_the_listed_ones():
+    """Every memo that outlives a call is listed here: each had hits on the
+    bench's traffic.  State a scan needs lives on its quotient instead."""
+    found = sorted(name for p in sorted(SRC.glob("*.py"))
+                   for name in memo_decorated(p))
+    assert found == sorted(["_validated_braiding", "build_parser", "is_prime",
+                            "primitive_root", "next_prime_with"])
 
 
 def test_bench_tracer_names_resolve():

@@ -1015,7 +1015,6 @@ def test_factorization_enumerates_once_and_multiplies_nontrivial_factors(
     series object, and each distinct nontrivial series enters the product
     exactly once, raised to the number of factors it stands for.  Here 1 and
     2 share the series of 1/(1-t), and the factors equal to 1 share one."""
-    nichols._lyndon_buckets.cache_clear()
     R = GradedQuotient(space_from_preset("cartan-A2"), "nichols", 10)
     tables, powers = [], []
     enumerate_lyndon, power = words.enumerate_lyndon, PowerSeries.__pow__
@@ -1046,8 +1045,8 @@ def test_factorization_enumerates_once_and_multiplies_nontrivial_factors(
 
 
 def test_guarded_runs_enumerate_one_lyndon_table(monkeypatch):
-    """The guard's two primes read one Lyndon table: a guarded pbw_data or
-    verify_factorization enumerates once.  The memo keeps one table, so calls
+    """The guard runs both primes in one pass over Z/(p1 p2), so a guarded
+    pbw_data or verify_factorization enumerates one Lyndon table, and calls
     alternating between two (D, top) keys enumerate once per call."""
     tables = []
     enumerate_lyndon = words.enumerate_lyndon
@@ -1058,7 +1057,6 @@ def test_guarded_runs_enumerate_one_lyndon_table(monkeypatch):
 
     monkeypatch.setattr(words, "enumerate_lyndon", counting_enumerate)
     for compute in (pbw_data, verify_factorization):
-        nichols._lyndon_buckets.cache_clear()
         tables.clear()
         run_guarded("cartan-A2(order=3)", 8,
                     lambda sp: compute(GradedQuotient(sp, "nichols", 8)))
@@ -1232,7 +1230,7 @@ def test_images_in_r_match_projected_tv_bracket_words(name):
         for sw in words.monotonic_superwords(lyndon, m):
             cw = words.concat(sw)
             assert nichols._image(R, sw, cw, m) == bracket_image(R, sw, cw, m), sw
-    assert any(not v for v in R._letters.values())
+    assert any(not v for sw, v in R._images.items() if len(sw) == 1)
 
 
 def test_suffix_images_are_fresh_and_match_tv_bracket_words():
@@ -1358,7 +1356,7 @@ def test_sweep_builds_no_bracket_word_where_the_degree_is_zero(
         assert Counter(imaged) == {
             m: images_until_full_rank(R, live, m)
             for m in range(1, trunc + 1) if R.dim(m) and m not in free}
-        assert all(R.dim(len(u)) for u in R._letters)
+        assert all(R.dim(len(sw[0])) for sw in R._images if len(sw) == 1)
     else:
         assert imaged == built
         live = words.enumerate_lyndon(len(R.space.component_partition()), trunc)
@@ -1594,7 +1592,7 @@ def test_run_guarded_frees_the_first_quotient_and_its_images():
             alive.append([ref() is not None for ref in refs[-1]])
         R = GradedQuotient(sp, "nichols", 8)
         result = pbw_data(R), verify_factorization(R)
-        assert R._letters and R._nf
+        assert any(len(sw) == 1 for sw in R._images) and R._nf
         refs.append((weakref.ref(sp), weakref.ref(R)))
         return result
 

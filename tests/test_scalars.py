@@ -187,6 +187,11 @@ def test_prime_helpers_reject_non_integers():
         primitive_root(7.0)
     with pytest.raises(ValueError, match="needs an int, got '7'"):
         is_prime("7")
+    # order divisors too, also where an equal int's entry is memoized
+    assert next_prime_with(10, (2,)) == next_prime_with(10, (1,)) == 11
+    for bad in ((0,), (2.0,), (-4,), (True,), (3, 0)):
+        with pytest.raises(ValueError, match="order divisors must be"):
+            next_prime_with(10, bad)
 
 
 def test_prime_helpers_match_their_uncached_bodies():
@@ -290,6 +295,7 @@ def test_pair_field_signals_splits():
         lambda: ring.parse("1/7"), lambda: ring.parse("3/77"),
         lambda: ring.inv(0), lambda: ring.inv(7), lambda: ring.crt(0, 5),
         lambda: ring.axpy({1: 1}, {1: 6}, 1),
+        lambda: ring.add(3, 4), lambda: ring.sub(8, 1), lambda: ring.div(1, 7),
         lambda: ring.p, lambda: ring.char, lambda: ring.format(3),
         lambda: ring.to_json(), lambda: ring.multiplicative_order(2),
         lambda: ring.element_of_order(2),
