@@ -6,10 +6,10 @@ skew-derivation recursion (Nichols) or one rref (presented).  `symmetrizer`
 builds the degree-n quantum symmetrizer, whose kernel is that degree's
 Nichols relations; no quotient calls it.  Plus the PBW generator and height
 extraction, the per-Lyndon-word subquotient series, and the factorization
-and nonnegativity checks.  Over a diagonal braiding those scans work inside
-R: a bracket word's image is the product in R of its letters' images, each
-from pi[v].pi[w] at the Shirshov split; block braidings build bracket words
-in TV and project them.
+and nonnegativity checks.  Those scans work inside R for every braiding: a
+bracket word's image is the product in R of its letters' images.  A letter
+is pi[v].pi[w] at the Shirshov split over a diagonal braiding; a block
+braiding projects the letter's bracket built in TV.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 from . import words
 from .freealg import BraidedSpace, TensorElement, _apply_slot, _concat
-# The TV bracket recursion over block-alphabet shapes, for block braidings;
-# bench/tracing.py wraps both names.
+# The TV bracket of a block-alphabet letter; bench/tracing.py wraps both
+# names, and only the tracer still reads the bracket word.
 from .freealg import _bracket_value as _block_bracket
 from .freealg import _bracket_word_value as _block_bracket_word
 from .freealg import build_space, coproduct, fused_space, source_requirements
@@ -157,8 +157,7 @@ class GradedQuotient:
         self._dims: list = [1, space.dim]
         self._basis: list = [((),), tuple((a,) for a in letters)]
         self._nf: dict = {(): {(): one}}
-        self._images: dict = {}  # super-word sw -> pi[sw] (diagonal braidings)
-        self._free_through = 1  # no relation rows in degrees <= this
+        self._images: dict = {}  # coordinate word cw -> pi[bracket word on cw]
         # (n, D_n), n the latest degree, in (standard word, letter) coordinates
         self._derivation = (1, {(a,): {((), a): one} for a in letters})
         if relations:
@@ -189,8 +188,6 @@ class GradedQuotient:
                                       if w != lead}
                 self._rows.append(rows)
                 self._dims.append(self.space.dim * self._dims[-1] - len(rows))
-                if not rows and self._free_through == k - 1:
-                    self._free_through = k
         return self._rows[n]
 
     def _nichols_rows(self, n: int) -> dict:
@@ -251,32 +248,36 @@ class GradedQuotient:
         """Product in R of coordinates x and y whose degrees add up to n."""
         return self.project_terms(_concat(self.space.field, x, y), n)
 
-    def _superword_image(self, sw: tuple, n: int) -> dict:
-        """pi[sw] for a super-word sw of degree n over a diagonal braiding,
-        memoized.  pi is an algebra map and normal forms in R are unique, so
-        pi[sw] = pi[sw[0]].pi[sw[1:]] by suffix.  A Lyndon letter u is the
-        super-word (u,): the twist of [v][w] is one scalar f, so at the
-        Shirshov split u = vw, pi[u] = pi[v].pi[w] - f.pi[w].pi[v].  The
+    def _superword_image(self, sw: tuple, cw: tuple) -> dict:
+        """pi of the bracket word of the monotonic super-word sw on the
+        coordinate word cw, memoized by cw (sw is the Chen-Fox-Lyndon
+        factorization of cw's block word).  pi is an algebra map and normal
+        forms in R are unique, so the word is pi[sw[0]].pi[sw[1:]].  A letter
+        u of length 1 is cw; over a diagonal braiding the twist of [v][w] is
+        one scalar f, so at the Shirshov split u = vw, pi[u] = pi[v].pi[w] -
+        f.pi[w].pi[v]; a block braiding projects u's bracket built in TV.  The
         memo's dicts are shared; callers must not mutate them."""
-        hit = self._images.get(sw)
+        hit = self._images.get(cw)
         if hit is None:
             field = self.space.field
-            u = sw[0]
+            u, k = sw[0], len(sw[0])
             if len(sw) > 1:
-                hit = self._times(self._superword_image((u,), len(u)),
-                                  self._superword_image(sw[1:], n - len(u)), n)
-            elif len(u) == 1:
-                hit = {u: field.one}
+                hit = self._times(self._superword_image((u,), cw[:k]),
+                                  self._superword_image(sw[1:], cw[k:]), len(cw))
+            elif k == 1:
+                hit = {cw: field.one}
+            elif not self.space.is_diagonal:
+                hit = self.project_terms(_block_bracket(self.space, u, cw, "left"), k)
             else:
                 v, w = words.shirshov(u)
-                a = self._superword_image((v,), len(v))
-                b = self._superword_image((w,), len(w))
+                a = self._superword_image((v,), v)
+                b = self._superword_image((w,), w)
                 hit = {}
                 if a and b:
                     [f] = self.space.braid_words(v, w, True).values()
-                    hit = field.axpy(self._times(a, b, n), self._times(b, a, n),
+                    hit = field.axpy(self._times(a, b, k), self._times(b, a, k),
                                      field.neg(f))
-            self._images[sw] = hit
+            self._images[cw] = hit
         return hit
 
     def _check_coideal(self, n: int):
@@ -314,8 +315,7 @@ class GradedQuotient:
         return self._basis[n]
 
     def project_terms(self, terms: dict, n: int) -> dict:
-        self._ensure(n)
-        if n <= self._free_through:
+        if self.dim(n) == self.space.dim ** n:  # R_n = T_n
             return dict(terms)
         field = self.space.field
         out: dict = {}
@@ -384,13 +384,10 @@ class NonnegReport:
 
 def _image(R: GradedQuotient, sw: tuple, cw: tuple, m: int) -> dict:
     """Coordinates in R_m of the bracket word of shape sw on the word cw, as
-    a fresh dict (Eliminator.insert consumes it).  Over a diagonal braiding
-    (cw is then the concatenation of sw) it is the product in R of the
-    letters' images, memoized by suffix; block braidings project the bracket
-    word built in TV."""
-    if not R.space.is_diagonal:
-        return R.project_terms(_block_bracket_word(R.space, sw, cw, "left"), m)
-    return dict(R._superword_image(sw, m))
+    a fresh dict (Eliminator.insert consumes it): the product in R of the
+    letters' images, memoized by cw (see GradedQuotient._superword_image).
+    Over a diagonal braiding cw is the concatenation of sw."""
+    return dict(R._superword_image(sw, cw))
 
 
 def pbw_data(R: GradedQuotient, trunc: int | None = None) -> PBWData:
@@ -420,7 +417,7 @@ def pbw_data(R: GradedQuotient, trunc: int | None = None) -> PBWData:
     for n in range(1, N + 1):
         dim = R.dim(n)
         candidates = lyndon[n]
-        if n <= R._free_through:
+        if dim == R.space.dim ** n:
             heights.update(dict.fromkeys(candidates))
             continue
         caps = {u: h - 1 for u, h in heights.items() if h is not None}
@@ -469,31 +466,32 @@ def _sweep(R: GradedQuotient, m: int, lyndon):
     The rows are the monotonic bracket words of degree m, one per word by
     Chen-Fox-Lyndon uniqueness, sorted by last factor, descending; over a
     diagonal braiding only those over the live letters (Lyndon words with
-    pi[u] != 0), since any other has image 0.  The ideal part of u, the rows
-    sw != u^k with last(sw) >= u, only grows as u decreases.  So the sweep
-    walks u downwards, first inserting every row with last factor >= u that
-    is not a power (powers enter at their own step), then counting how many
-    images of u^k raise the rank; those stay in the span for the smaller
-    words.  A caller may stop reading at its own u; one that reads every
-    word has had every bracket word of degree m inserted, and their images
-    must span R_m.  Two kinds of degree build no row: where R_m = 0 every
-    count is 0, and where a diagonal degree has no relations (R_m = T_m)
-    every count is 1, because each bracket word is its concatenation plus
-    lex-larger words (Kharchenko 1999) and the rows have distinct
-    concatenations.  Once the span has rank dim R_m no later image can
-    raise it, so the sweep inserts no more rows, nor the rest of a row's
-    coordinate words, and every later count is 0.
+    pi[u] != 0), since any other has image 0.  A row is filled with each
+    coordinate word of its blocks and imaged in R (see _image).  The ideal
+    part of u, the rows sw != u^k with last(sw) >= u, only grows as u
+    decreases.  So the sweep walks u downwards, first inserting every row
+    with last factor >= u that is not a power (powers enter at their own
+    step), then counting how many images of u^k raise the rank; those stay
+    in the span for the smaller words.  A caller may stop reading at its own
+    u; one that reads every word has had every bracket word of degree m
+    inserted, and their images must span R_m.  Two kinds of degree build no
+    row: where R_m = 0 every count is 0, and where a diagonal degree has no
+    relations (dim R_m = d^m, so R_m = T_m) every count is 1, because each
+    bracket word is its concatenation plus lex-larger words (Kharchenko
+    1999) and the rows have distinct concatenations.  Once the span has rank
+    dim R_m no later image can raise it, so the sweep inserts no more rows,
+    nor the rest of a row's coordinate words, and every later count is 0.
     """
     part = R.space.component_partition()
-    dim = R.dim(m)  # builds degree m, so R._free_through covers it
+    dim = R.dim(m)
     diagonal = R.space.is_diagonal
     steps = sorted(itertools.chain.from_iterable(
         lyndon[k] for k in range(1, m + 1) if m % k == 0), reverse=True)
-    if not dim or diagonal and m <= R._free_through:
+    if not dim or diagonal and dim == R.space.dim ** m:
         yield from ((u, min(dim, 1)) for u in steps)
         return
     live = {u for bucket in lyndon[1:m + 1] for u in bucket
-            if not diagonal or R._superword_image((u,), len(u))}
+            if not diagonal or R._superword_image((u,), u)}
     rows = sorted(words.monotonic_superwords(live, m), key=lambda sw: sw[-1],
                   reverse=True)
     span = Eliminator(R.space.field)

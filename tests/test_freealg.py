@@ -54,6 +54,8 @@ def test_validate_general(field):
     singular = [[field.zero] * 4 for _ in range(4)]
     rep = validate_braiding(field, 2, "general", singular)
     assert not rep.ok and "singular" in rep.message
+    rep = validate_braiding(field, 2, "general", [[field.one] * 3] * 3)
+    assert not rep.ok and "d^2 x d^2" in rep.message
 
 
 def count_calls(monkeypatch, name):
@@ -305,6 +307,20 @@ def test_braid_apply_needs_homogeneous(field):
     assert out.terms == {((2,), (1,)): sp.q[0][1]}
 
 
+def test_element_signs_and_errors(field):
+    sp = qp_space(field)
+    x = sp.generator(1) + sp.generator(2)
+    assert -x == x.scale(field.neg(field.one)) and x + -x == sp.zero()
+    assert bool(x) and not bool(sp.zero())
+    with pytest.raises(ValueError, match="outside 1..2"):
+        sp.generator(0)
+    with pytest.raises(ValueError, match="different braided spaces"):
+        x + qp_space(field).generator(1)
+    for bad in (sp.zero(), x + sp.unit()):
+        with pytest.raises(ValueError, match="zero or inhomogeneous"):
+            bad.degree()
+
+
 def test_qprod_requires_diagonal():
     sp = space_from_preset("s3-rack")
     with pytest.raises(ValueError):
@@ -375,6 +391,9 @@ def test_bracket_word_and_element(field):
     assert x2x1.terms == {(2, 1): field.one}
     with pytest.raises(ValueError):
         bracket_word(sp, ((1,), (2,)))  # not monotonic
+    assert bracket_word(sp, ()) == sp.unit()
+    with pytest.raises(ValueError, match="zero element"):
+        leading_vector(sp.zero())
     w = (1, 2, 1, 1, 2)
     assert bracket_element(sp, w) == bracket_word(sp, words.cfl_factorize(w))
     lead, c = leading_vector(bracket_element(sp, w))
@@ -748,6 +767,9 @@ def test_space_json_round_trip(field):
         space_from_json({"dim": 2, "braiding": {}})
     with pytest.raises(ValueError):
         space_from_json([1, 2])
+    with pytest.raises(ValueError, match="'diagonal' or 'general'"):
+        space_from_json({"field": {"prime": 10007}, "dim": 1,
+                         "braiding": {"upper": [["1"]]}})
 
 
 def test_space_json_root_orders(field):

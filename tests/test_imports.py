@@ -1,6 +1,6 @@
 """The runtime stays pure standard library, keeps only the listed
-process-wide memos, only freealg reads the internals of a space, and the
-names the bench tracer wraps exist."""
+process-wide memos and per-quotient state, only freealg reads the internals
+of a space, and the names the bench tracer wraps exist."""
 
 import ast
 import importlib
@@ -51,6 +51,22 @@ def test_process_wide_memos_are_the_listed_ones():
                    for name in memo_decorated(p))
     assert found == sorted(["_validated_braiding", "build_parser", "is_prime",
                             "primitive_root", "next_prime_with"])
+
+
+def test_quotients_keep_the_listed_state():
+    """Every memo a scan needs lives on its quotient; these are all of them,
+    for each kind of quotient."""
+    from lynhopf.freealg import space_from_preset
+    from lynhopf.nichols import GradedQuotient
+
+    sp = space_from_preset("quantum-plane")
+    rel = sp.element({(1, 2): sp.field.one, (2, 1): sp.field.neg(sp.field.one)})
+    quotients = (GradedQuotient(sp, "nichols", 3), GradedQuotient(sp, "free", 3),
+                 GradedQuotient(sp, "presented", 3, relations=(rel,)))
+    for R in quotients:
+        assert sorted(vars(R)) == sorted([
+            "space", "kind", "trunc", "relations", "cap", "_rows", "_dims",
+            "_basis", "_nf", "_images", "_derivation"]), R.kind
 
 
 def test_bench_tracer_names_resolve():

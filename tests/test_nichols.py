@@ -242,6 +242,14 @@ def test_quotient_validation(field):
         GradedQuotient(sp, "presented", 3, relations=(sp.zero(),))
     with pytest.raises(ValueError):
         GradedQuotient(sp, "presented", 3, relations=(sp.generator(1),))
+    other = space_from_preset("quantum-plane")
+    rel = other.element({(1, 1): other.field.one})
+    with pytest.raises(ValueError, match="relation lives over a different space"):
+        GradedQuotient(sp, "presented", 3, relations=(rel,))
+    R = GradedQuotient(sp, "nichols", 3)
+    with pytest.raises(ValueError, match="element lives over a different space"):
+        R.project(rel)
+    assert R.project(sp.zero()) == {}
 
 
 def test_free_quotient_dims(field):
@@ -775,6 +783,21 @@ def test_s4_rack_is_fomin_kirillov(monkeypatch, p):
     assert sum(dims) == 576
 
 
+@pytest.mark.parametrize("p,top", [(10007, 5), (10009, 4)])
+def test_s4_rack_scans_match_the_symmetrizer_and_the_oracle(p, top):
+    """FK_4 below the cap: its degrees are the ranks of the symmetrizers,
+    and the one block's Lyndon word 1 carries the single factor, the series
+    itself, as the per-word oracle finds."""
+    sp = s4_rack(PrimeField(p))
+    R = GradedQuotient(sp, "nichols", 5)
+    assert [R.dim(n) for n in range(top + 1)] == [
+        6 ** n - len(symmetrizer_pivots(sp, n)) for n in range(top + 1)]
+    rep = verify_factorization(R)
+    assert rep.ok
+    assert [f.series.coeffs for f in rep.factors] == [(1, 6, 19, 42, 71, 96)]
+    assert subquotient_series(R, (1,)).series.coeffs == oracle_subquotient(R, (1,), 5)
+
+
 def rank_two_root_space(m, a, b, c):
     """q11 = z^a, q12 = z^b, q21 = 1, q22 = z^c over F_10009, z of order m."""
     fld = PrimeField(10009)
@@ -1113,7 +1136,7 @@ def test_subquotient_reads_each_sweep_down_to_its_word(monkeypatch):
 
     monkeypatch.setattr(nichols, "_image", recording_image)
     assert subquotient_series(R, (2,)).series.coeffs == (1,) * 9
-    assert R._free_through == 2
+    assert [m for m in range(1, 9) if R.dim(m) == 2 ** m] == [1, 2]
     assert shapes == [((2,),) * m for m in range(3, 9)]
 
 
@@ -1207,8 +1230,7 @@ def test_pbw_and_sweep_match_oracles_on_quotients_free_through_degree_two(name):
     assert not symmetrizer_pivots(sp, 2)
     rels = [TensorElement(sp, dict(row)) for row in symmetrizer_pivots(sp, 3).values()]
     R = GradedQuotient(sp, "presented", trunc, relations=rels)
-    R.dim(3)
-    assert R._free_through == 2
+    assert [R.dim(m) == sp.dim ** m for m in (1, 2, 3)] == [True, True, False]
     assert pbw_data(R).generators == oracle_pbw(R)
     check_sweep_against_oracle(R)
 
@@ -1230,7 +1252,7 @@ def test_images_in_r_match_projected_tv_bracket_words(name):
         for sw in words.monotonic_superwords(lyndon, m):
             cw = words.concat(sw)
             assert nichols._image(R, sw, cw, m) == bracket_image(R, sw, cw, m), sw
-    assert any(not v for sw, v in R._images.items() if len(sw) == 1)
+    assert any(not v for cw, v in R._images.items() if words.is_lyndon(cw))
 
 
 def test_suffix_images_are_fresh_and_match_tv_bracket_words():
@@ -1273,6 +1295,27 @@ def test_diagonal_scans_build_no_bracket_word_in_tv(monkeypatch, preset, kind):
     R = GradedQuotient(space_from_preset(preset), kind, 6)
     assert pbw_data(R).generators == oracle_pbw(R)
     check_sweep_against_oracle(R)
+
+
+@pytest.mark.parametrize("name,kind,trunc", [
+    ("s3-rack", "nichols", 7), ("s3-rack", "free", 7), ("s4-rack", "nichols", 5),
+    ("swap-block", "nichols", 5)])
+def test_block_scans_build_no_bracket_word_in_tv(monkeypatch, name, kind, trunc):
+    """Over a block braiding the sweep images bracket words as products in R
+    of its letters' images too (swap-block has letters of length > 1, whose
+    brackets are built in TV); the TV bracket words stay with the oracle."""
+    from lynhopf import nichols
+
+    def never(*args):
+        raise AssertionError("a bracket word was built in TV")
+
+    monkeypatch.setattr(nichols, "_block_bracket_word", never)
+    fld = PrimeField(10007)
+    sp = {"s3-rack": lambda: space_from_preset(name),
+          "s4-rack": lambda: s4_rack(fld),
+          "swap-block": lambda: BraidedSpace(fld, 3, "general",
+                                             swap_block_matrix(fld))}[name]()
+    check_sweep_against_oracle(GradedQuotient(sp, kind, trunc))
 
 
 def test_pbw_matches_per_candidate_oracle_presets(qp_nichols, cartan_three):
@@ -1322,18 +1365,19 @@ def images_until_full_rank(R, live, m):
 ])
 def test_sweep_builds_no_bracket_word_where_the_degree_is_zero(
         monkeypatch, preset, trunc, zero):
-    """A degree with R_m = 0 builds nothing.  Block braidings build one TV
-    bracket word per coordinate word in every other degree, only until their
-    images span R_m.  Diagonal ones build no TV bracket word at all, compute
-    no image in a degree without relations either, and elsewhere image the
-    monotonic super-words over the live letters (the Lyndon words whose
-    bracket is nonzero in R) in the sweep's order only until their images
-    span R_m."""
+    """A degree with R_m = 0 builds nothing, and no braiding builds a TV
+    bracket word.  Block braidings image one row per coordinate word in
+    every other degree, only until the images span R_m.  Diagonal ones
+    compute no image in a degree without relations either, and elsewhere
+    image the monotonic super-words over the live letters (the Lyndon words
+    whose bracket is nonzero in R) in the sweep's order only until their
+    images span R_m."""
     from lynhopf import nichols
     R = GradedQuotient(space_from_preset(preset), "nichols", trunc)
     assert [m for m in range(trunc + 1) if R.dim(m) == 0] == zero
     free = [1] if preset == "s3-rack" else [1, 2]  # degrees with no relations
-    assert [m for m in range(1, trunc + 1) if m <= R._free_through] == free
+    d = R.space.dim
+    assert [m for m in range(1, trunc + 1) if R.dim(m) == d ** m] == free
     built, imaged = [], []
     block_bracket_word, image = nichols._block_bracket_word, nichols._image
 
@@ -1348,26 +1392,24 @@ def test_sweep_builds_no_bracket_word_where_the_degree_is_zero(
     monkeypatch.setattr(nichols, "_block_bracket_word", counting_tv)
     monkeypatch.setattr(nichols, "_image", counting_image)
     rep = verify_factorization(R)
-    assert rep.ok
+    assert rep.ok and built == []
     if R.space.is_diagonal:
-        assert built == []
         live = [u for u in words.enumerate_lyndon(R.space.dim, trunc)
                 if R.project_terms(_bracket_value(R.space, u, u, "left"), len(u))]
         assert Counter(imaged) == {
             m: images_until_full_rank(R, live, m)
             for m in range(1, trunc + 1) if R.dim(m) and m not in free}
-        assert all(R.dim(len(sw[0])) for sw in R._images if len(sw) == 1)
+        assert all(R.dim(len(cw)) for cw in R._images if words.is_lyndon(cw))
     else:
-        assert imaged == built
         live = words.enumerate_lyndon(len(R.space.component_partition()), trunc)
-        assert Counter(built) == {
+        assert Counter(imaged) == {
             m: images_until_full_rank(R, live, m)
             for m in range(1, trunc + 1) if R.dim(m)}
     seen = set(imaged)
     imaged.clear()
     assert [subquotient_series(R, f.word) for f in rep.factors] == list(rep.factors)
     assert imaged and set(imaged) <= seen
-    assert built == [] if R.space.is_diagonal else set(built) <= seen
+    assert built == []
     monkeypatch.undo()
     for f in rep.factors:
         assert f.series.coeffs == oracle_subquotient(R, f.word, trunc), f.word
@@ -1592,7 +1634,7 @@ def test_run_guarded_frees_the_first_quotient_and_its_images():
             alive.append([ref() is not None for ref in refs[-1]])
         R = GradedQuotient(sp, "nichols", 8)
         result = pbw_data(R), verify_factorization(R)
-        assert any(len(sw) == 1 for sw in R._images) and R._nf
+        assert any(words.is_lyndon(cw) for cw in R._images) and R._nf
         refs.append((weakref.ref(sp), weakref.ref(R)))
         return result
 

@@ -111,6 +111,9 @@ def test_multiplicative_order():
             assert pow(a, m // q, f.p) != 1
     assert f.multiplicative_order(1) == 1
     assert f.multiplicative_order(f.p - 1) == 2
+    for fld in (f, RationalField()):
+        with pytest.raises(ValueError, match="0 has no multiplicative order"):
+            fld.multiplicative_order(fld.zero)
 
 
 def test_element_of_order():
@@ -142,6 +145,9 @@ def test_rationals():
     assert f.multiplicative_order(Fraction(2)) is None
     with pytest.raises(ZeroDivisionError):
         f.inv(f.zero)
+    assert f.div(Fraction(3, 2), Fraction(9, 4)) == Fraction(2, 3)
+    with pytest.raises(ZeroDivisionError):
+        f.div(f.one, f.zero)
     with pytest.raises(ValueError):
         f.parse("1/0")
 

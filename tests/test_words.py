@@ -206,6 +206,10 @@ def test_enumerate_lyndon_rejects_non_integers():
             enumerate_lyndon(d, n)
     with pytest.raises(ValueError, match="at least 1"):
         enumerate_lyndon(0, 3)
+    with pytest.raises(ValueError, match="exceeds the supported 64"):
+        enumerate_lyndon(65, 3)
+    with pytest.raises(ValueError, match="maximal length must be at least 1"):
+        enumerate_lyndon(2, 0)
 
 
 # ---------------------------------------------------------------- shirshov halves
