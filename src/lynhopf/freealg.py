@@ -515,39 +515,35 @@ def bracket(space: BraidedSpace, u, flavor: str = "left") -> BracketLetter:
     u = words.validate_word(u, space.dim)
     if not words.is_lyndon(u):
         raise ValueError(f"{u} is not a Lyndon word")
-    if flavor not in ("left", "double"):
-        raise ValueError(f"unknown bracket flavor {flavor!r}")
     return BracketLetter(u, flavor, TensorElement(
-        space, dict(_bracket_value(space, u, u, flavor))))
+        space, _bracket_word_value(space, (u,), u, flavor)))
 
 
 def bracket_word(space: BraidedSpace, sw, flavor: str = "left") -> TensorElement:
     """Product of the bracket letters along a monotonic super-word."""
     sw = words.validate_superword(sw, monotonic=True)
-    for f in sw:
-        words.validate_word(f, space.dim)
-    return TensorElement(space, dict(
-        _bracket_word_value(space, sw, words.concat(sw), flavor)))
+    return TensorElement(space, _bracket_word_value(
+        space, sw, words.validate_word(words.concat(sw), space.dim), flavor))
 
 
-@_cached("bw")
 def _bracket_word_value(space, sw: tuple, cw: tuple, flavor: str) -> dict:
-    """Ordered product of the brackets of cw along the shapes in sw."""
-    if not sw:
-        return {(): space.field.one}
-    if len(sw) == 1:
-        return _bracket_value(space, sw[0], cw, flavor)
-    cut = len(cw) - len(sw[-1])
-    return _concat(space.field, _bracket_word_value(space, sw[:-1], cw[:cut], flavor),
-                   _bracket_value(space, sw[-1], cw[cut:], flavor))
+    """Ordered product of the brackets of cw along the shapes in sw, as a
+    fresh dict: the letters are memoized, their products are not."""
+    if flavor not in ("left", "double"):
+        raise ValueError(f"unknown bracket flavor {flavor!r}")
+    fld, out, k = space.field, {(): space.field.one}, 0
+    for u in sw:
+        a = _bracket_value(space, u, cw[k:k + len(u)], flavor)
+        out, k = _concat(fld, out, a), k + len(u)
+    return out
 
 
 def bracket_element(space: BraidedSpace, w, flavor: str = "left") -> TensorElement:
     """The bracketing of an arbitrary word: bracket letters along its
     Chen-Fox-Lyndon factorization, multiplied in order."""
     w = words.validate_word(w, space.dim)
-    return TensorElement(space, dict(_bracket_word_value(
-        space, words.cfl_factorize(w), w, flavor)))
+    return TensorElement(space, _bracket_word_value(
+        space, words.cfl_factorize(w), w, flavor))
 
 
 def leading_vector(x: TensorElement) -> tuple:

@@ -28,7 +28,7 @@ from .freealg import _bracket_word_value as _block_bracket_word
 from .freealg import build_space, coproduct, fused_space, source_requirements
 from .linalg import Eliminator, kernel, rref
 from .scalars import PairField, next_prime_with
-from .series import PowerSeries, geometric_factor
+from .series import PowerSeries, check_trunc, geometric_factor
 
 DEFAULT_MATRIX_CAP = 20000
 
@@ -71,9 +71,7 @@ def symmetrizer(space: BraidedSpace, n: int, cap: int | None = None) -> dict:
     are identities.  The slot map is read from braid_words, for both braiding
     kinds; nothing is memoized on the space.
     """
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    _check_cap(space, n, cap)
+    _check_cap(space, words.check_int(n, "degree"), cap)
     field = space.field
     if n == 0:
         return {(): {(): field.one}}
@@ -132,8 +130,7 @@ class GradedQuotient:
                  relations=(), cap: int | None = None):
         if kind not in self.KINDS:
             raise ValueError(f"unknown quotient kind {kind!r}")
-        if type(trunc) is not int or trunc < 0:
-            raise ValueError("trunc must be a nonnegative integer")
+        check_trunc(trunc)
         if cap is not None and (type(cap) is not int or cap < 1):
             raise ValueError(f"cap must be a positive integer or None, got {cap!r}")
         relations = tuple(relations)
@@ -168,11 +165,7 @@ class GradedQuotient:
         """n (the truncation for None), checked to lie in 0..trunc."""
         if n is None:
             return self.trunc
-        if type(n) is not int:
-            raise ValueError(f"degree must be an integer, got {n!r}")
-        if n < 0:
-            raise ValueError("degree must be nonnegative")
-        if n > self.trunc:
+        if words.check_int(n, "degree") > self.trunc:
             raise ValueError(f"degree {n} exceeds truncation {self.trunc}")
         return n
 

@@ -13,6 +13,13 @@ from dataclasses import dataclass
 from . import words
 
 
+def check_trunc(trunc) -> int:
+    """trunc if it is a nonnegative int (bools are not), else ValueError."""
+    if type(trunc) is not int or trunc < 0:
+        raise ValueError("trunc must be a nonnegative integer")
+    return trunc
+
+
 @dataclass(frozen=True)
 class PowerSeries:
     coeffs: tuple  # tuple[int, ...], length trunc + 1
@@ -28,15 +35,15 @@ class PowerSeries:
 
     @classmethod
     def zero(cls, trunc: int) -> "PowerSeries":
-        return cls((0,) * (trunc + 1))
+        return cls((0,) * (check_trunc(trunc) + 1))
 
     @classmethod
     def one(cls, trunc: int) -> "PowerSeries":
-        return cls((1,) + (0,) * trunc)
+        return cls((1,) + (0,) * check_trunc(trunc))
 
     @classmethod
     def monomials(cls, trunc: int, coeff_at: dict) -> "PowerSeries":
-        c = [0] * (trunc + 1)
+        c = [0] * (check_trunc(trunc) + 1)
         for k, v in coeff_at.items():
             if 0 <= k <= trunc:
                 c[k] = v
@@ -128,8 +135,7 @@ def geometric_factor(step: int, trunc: int, height: int | None = None) -> PowerS
 
     This is the series (1 - t^step)^{-1}, or its height-truncated polynomial.
     """
-    if step < 1:
-        raise ValueError("step must be positive")
+    words.check_int(step, "step", 1)
     coeff_at = {}
     k = 0
     while k * step <= trunc and (height is None or k < height):
@@ -154,10 +160,8 @@ def lyndon_identity_check(d: int, trunc: int,
     repetitions of the super-letter [u], each power multiplying dimensions.
     Only words of length <= trunc contribute below the truncation.
     """
-    if type(d) is not int:
-        raise ValueError(f"alphabet size must be an integer, got {d!r}")
-    if type(trunc) is not int or trunc < 0:
-        raise ValueError("trunc must be a nonnegative integer")
+    words.check_int(d, "alphabet size", None)
+    check_trunc(trunc)
     if letter_dims is None:
         letter_dims = (1,) * d
     if len(letter_dims) != d or any(m < 1 for m in letter_dims):

@@ -80,6 +80,16 @@ def shirshov(u: Word) -> tuple[Word, Word]:
     return u[:len(u) - len(w)], w
 
 
+def check_int(x, what: str, low: int | None = 0) -> int:
+    """x if it is an int (bools are not) not below low (if given), else ValueError."""
+    if type(x) is not int:
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    if low is not None and x < low:
+        bound = f"at least {low}" if low else "nonnegative"
+        raise ValueError(f"{what} must be {bound}")
+    return x
+
+
 def enumerate_lyndon(d: int, n: int) -> list[Word]:
     """All Lyndon words of length <= n over the alphabet 1..d, in lex order.
 
@@ -87,16 +97,9 @@ def enumerate_lyndon(d: int, n: int) -> list[Word]:
     per word: extend the current word periodically to length n, strip
     trailing maximal letters, increment the last one.
     """
-    if type(d) is not int:
-        raise ValueError(f"alphabet size must be an integer, got {d!r}")
-    if d < 1:
-        raise ValueError("alphabet size must be at least 1")
-    if d > MAX_ALPHABET:
+    if check_int(d, "alphabet size", 1) > MAX_ALPHABET:
         raise ValueError(f"alphabet size {d} exceeds the supported {MAX_ALPHABET}")
-    if type(n) is not int:
-        raise ValueError(f"maximal length must be an integer, got {n!r}")
-    if n < 1:
-        raise ValueError("maximal length must be at least 1")
+    check_int(n, "maximal length", 1)
     out: list[Word] = []
     w, k = [1] * n, 1  # the current word is w[:k]
     while k:
@@ -153,11 +156,12 @@ def monotonic_superwords(letters: Sequence[Word], degree: int,
     `letters` is any collection of distinct Lyndon words; `max_count` may cap
     the multiplicity of individual letters.  Yields in descending lex order.
     """
+    check_int(degree, "degree", None)
     letters = sorted(set(letters), reverse=True)
     # fits[r]: ascending indices of the letters of length <= r; room[i]: how
     # many more copies of letters[i] the caps allow
     fits = [[i for i, f in enumerate(letters) if len(f) <= r]
-            for r in range(max(degree, 0) + 1)]
+            for r in range(degree + 1)]
     room = [degree if c is None else c for c in map((max_count or {}).get, letters)]
     buf: list[Word] = []
 
@@ -175,7 +179,7 @@ def monotonic_superwords(letters: Sequence[Word], degree: int,
                 room[idx] += 1
                 buf.pop()
 
-    return rec(0, degree)
+    return rec(0, degree) if degree >= 0 else iter(())
 
 
 def parse_word(s: str) -> Word:

@@ -327,6 +327,27 @@ def test_repeated_main_calls_match_first_calls(capsys):
             assert (code, out.encode(), err.encode()) == want, argv
 
 
+def test_python_m_runs_the_cli_from_a_checkout():
+    """python -m lynhopf.cli with src on PYTHONPATH runs the CLI of a
+    checkout that was never installed: README's line on success, and one
+    JSON error line with exit code 2 on a usage error."""
+    env = dict(os.environ, PYTHONPATH="src")
+
+    def python_m(*argv):
+        return subprocess.run([sys.executable, "-m", "lynhopf.cli", *argv],
+                              capture_output=True, text=True, env=env,
+                              cwd=ROOT, check=False)
+
+    ok = python_m("lyndon", "list", "--alphabet", "2", "--max-len", "3")
+    assert (ok.returncode, ok.stderr) == (0, "")
+    assert ok.stdout == (
+        '{"alphabet":2,"max_len":3,"words":["1","112","12","122","2"]}\n')
+    bad = python_m("lyndon", "list")
+    assert (bad.returncode, bad.stdout) == (2, "")
+    assert bad.stderr.count("\n") == 1
+    assert json.loads(bad.stderr)["kind"] == "usage"
+
+
 # -------------------------------------------------------------- error paths
 
 def test_usage_error(capsys):

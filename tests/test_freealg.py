@@ -344,8 +344,12 @@ def test_bracket_rejects_non_lyndon(field):
     sp = qp_space(field)
     with pytest.raises(ValueError):
         bracket(sp, (2, 1))
-    with pytest.raises(ValueError):
-        bracket(sp, (1, 2), flavor="right")
+    for call in (lambda: bracket(sp, (1, 2), flavor="right"),
+                 lambda: bracket_word(sp, ((2,), (1,)), flavor="right"),
+                 lambda: bracket_element(sp, (2, 1), flavor="right")):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == "unknown bracket flavor 'right'"
     with pytest.raises(ValueError):
         bracket(sp, (1, 3))  # letter outside alphabet
 
@@ -613,6 +617,22 @@ def test_coproduct_of_degree_two_bracket(field):
     assert d.terms == want
 
 
+def test_reprs_show_small_values(field):
+    sp = BraidedSpace(field, 2, "diagonal",
+                      [[field.neg(field.one), field.from_int(3)],
+                       [field.one, field.neg(field.one)]])
+    assert repr(sp) == "BraidedSpace(dim=2, kind=diagonal, field=PrimeField(10007))"
+    assert repr(RationalField()) == "RationalField()"
+    assert [repr(sp.zero()), repr(sp.unit())] == ["0", "1*1"]
+    assert repr(bracket(sp, (1, 2))) == "[12]"
+    assert repr(bracket(sp, (1, 2), "double")) == "[[12]]"
+    delta = coproduct(sp.element({(1, 2): field.one}))
+    assert delta.support() == [((), (1, 2)), ((1,), (2,)), ((2,), (1,)),
+                               ((1, 2), ())]
+    assert repr(delta) == "1*1(x)x12 + 1*x1(x)x2 + 3*x2(x)x1 + 1*x12(x)1"
+    assert repr(TensorSquareElement(sp, {})) == "0"
+
+
 def test_antipode_identity(field):
     """m (S ox id) Delta == unit eps == m (id ox S) Delta."""
     for sp in (random_diagonal(field, 2, random.Random(101)),
@@ -705,7 +725,7 @@ def test_cache_keys_name_their_kind(preset):
     sp = build_space(preset)
     mixed_workload(sp)
     assert {type(k) for k in sp._cache} == {tuple}
-    assert {k[0] for k in sp._cache} == {"br", "bw", "cop", "anti", "components"}
+    assert {k[0] for k in sp._cache} == {"br", "cop", "anti", "components"}
     size = len(sp._cache)
     before = bracket(sp, (1, 1, 2), "double").value
     assert bracket(sp, (1, 1, 2), "double").value == before
@@ -732,8 +752,8 @@ def test_space_is_freed_without_the_cycle_collector():
 
 
 def test_public_brackets_do_not_share_the_cache():
-    """bracket, bracket_word and bracket_element wrap copies of the memoized
-    term dicts: writing into a result changes no later bracket."""
+    """bracket, bracket_word and bracket_element wrap fresh term dicts, never
+    a memoized one: writing into a result changes no later bracket."""
     sp = space_from_preset("cartan-A2")
     true = bracket(space_from_preset("cartan-A2"), (1, 2)).value.terms
     assert true == {(1, 2): 1, (2, 1): sp.field.neg(sp.field.inv(sp.q[1][0]))}

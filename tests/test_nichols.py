@@ -203,8 +203,12 @@ def test_symmetrizer_small_values(field):
     s2 = symmetrizer(sp, 2)
     assert s2[(1, 1)] == {}  # 1 + q11 = 0
     assert s2[(1, 2)] == {(1, 2): f.one, (2, 1): f.one}
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="degree must be nonnegative"):
         symmetrizer(sp, -1)
+    for n in (True, False, 2.0):
+        with pytest.raises(ValueError) as exc:
+            symmetrizer(sp, n)
+        assert str(exc.value) == f"degree must be an integer, got {n!r}"
 
 
 # ----------------------------------------------------------- graded quotients
@@ -752,6 +756,46 @@ def test_b2_known_answers(p, order, N, dims):
     rep = verify_factorization(R)
     assert rep.ok
     assert tuple(f.word for f in rep.factors if any(f.series.coeffs[1:])) == roots
+
+
+def g2_space(fld, q):
+    """G2 with letter 1 long: q11 = q^3, q12 = q^-3, q21 = 1 and q22 = q."""
+    q3 = fld.mul(q, fld.mul(q, q))
+    return BraidedSpace(fld, 2, "diagonal", [[q3, fld.inv(q3)], [fld.one, q]])
+
+
+def g2_order_4_series(N):
+    """prod over G2's root heights h = 1, 1, 2, 3, 4, 5 of (1 - t^{4h})/(1 - t^h)."""
+    out = PowerSeries.one(N)
+    for h in (1, 1, 2, 3, 4, 5):
+        out = out * geometric_factor(h, N, 4)
+    return out
+
+
+def test_g2_at_order_4_dims_through_degree_48():
+    """u_q^+(g_2) at a primitive 4th root of unity (Kharchenko 1999;
+    Andruskiewitsch-Schneider 2002): one root vector of height 4 per
+    positive root, so dimension 4^6 and top degree 3 * (1+1+2+3+4+5)."""
+    fld = PrimeField(10009)
+    R = GradedQuotient(g2_space(fld, fld.element_of_order(4)), "nichols", 48,
+                       cap=2 ** 48)
+    dims = R.hilbert_series()
+    assert dims == g2_order_4_series(48)
+    assert (sum(dims.coeffs), dims.coeffs[48], max(dims.coeffs)) == (4096, 1, 184)
+
+
+@pytest.mark.parametrize("p", [10009, 10037])
+def test_g2_at_order_4_pbw_data(p):
+    """Six PBW generators of lengths 1, 1, 2, 3, 4 and 5, each of height 4.
+    The words are not pinned: which Lyndon word of length 5 pbw_data picks
+    is open (ROADMAP item 11)."""
+    fld = PrimeField(p)
+    R = GradedQuotient(g2_space(fld, fld.element_of_order(4)), "nichols", 20,
+                       cap=2 ** 20)
+    data = pbw_data(R)
+    assert sorted(len(g.word) for g in data.generators) == [1, 1, 2, 3, 4, 5]
+    assert {g.height for g in data.generators} == {4}
+    assert pbw_series(data) == R.hilbert_series() == g2_order_4_series(20)
 
 
 def s4_rack(fld):

@@ -92,6 +92,16 @@ def test_power_rejects_negative_and_non_integer_exponents():
     for k in (2.0, 0.5, "2", None):
         with pytest.raises(TypeError):
             s ** k
+    for trunc in (-3, True, False, 2.0):
+        for build in (PowerSeries.one, PowerSeries.zero,
+                      lambda n: PowerSeries.monomials(n, {0: 1}),
+                      lambda n: geometric_factor(1, n)):
+            with pytest.raises(ValueError,
+                               match="trunc must be a nonnegative integer"):
+                build(trunc)
+    for step in (True, 2.0, 0):
+        with pytest.raises(ValueError, match="step must be"):
+            geometric_factor(step, 3)
 
 
 def test_division_inverts_multiplication():

@@ -210,6 +210,9 @@ def test_enumerate_lyndon_rejects_non_integers():
         enumerate_lyndon(65, 3)
     with pytest.raises(ValueError, match="maximal length must be at least 1"):
         enumerate_lyndon(2, 0)
+    for degree in (True, False, 2.0):
+        with pytest.raises(ValueError, match="degree must be an integer"):
+            monotonic_superwords(enumerate_lyndon(2, 3), degree)
 
 
 # ---------------------------------------------------------------- shirshov halves
@@ -295,7 +298,7 @@ def test_monotonic_superwords_match_oracle_on_random_letters():
             caps = {f: rng.randrange(0, 3)
                     for f in rng.sample(letters, rng.randrange(1, len(letters) + 1))}
             caps[rng.choice(letters)] = None
-        for degree in range(-1, 8):
+        for degree in range(-3, 8):
             assert list(monotonic_superwords(letters, degree, caps)) == list(
                 monotonic_superwords_oracle(letters, degree, caps)), (letters, caps)
 
