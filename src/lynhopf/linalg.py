@@ -5,10 +5,12 @@ raw scalars.  The pivot of a vector is its minimal key, so families whose
 minimal keys are distinct eliminate with no arithmetic at all.
 
 Over the guard ring Z/(p1 p2) (scalars.PairField) working rows reduce
-through axpy_unchecked, so their fill-in may be zero at one prime only.
-That is exact: a lead is acted on only through inv, which signals a split
-on a non-unit, so leads, pivots and ranks are each prime's.  rref, and so
-kernel, checks its result; contains answers only on a unit lead.
+through axpy_unchecked, so their fill-in may be zero at one prime only, and
+so may the entries of the columns nichols hands to kernel, which it fills
+the same way.  That is exact: a lead is acted on only through inv, which
+signals a split on a non-unit, so leads, pivots and ranks are each prime's.
+rref, and so kernel, checks its result; contains answers only on a unit
+lead.
 """
 
 from __future__ import annotations

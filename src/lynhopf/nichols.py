@@ -155,8 +155,12 @@ class GradedQuotient:
         self._basis: list = [((),), tuple((a,) for a in letters)]
         self._nf: dict = {(): {(): one}}
         self._images: dict = {}  # coordinate word cw -> pi[bracket word on cw]
-        # (n, D_n), n the latest degree, in (standard word, letter) coordinates
-        self._derivation = (1, {(a,): {((), a): one} for a in letters})
+        # (n, D_n, q), n the latest degree: D_n maps each column a.b off the
+        # kernel to {last letter: {standard word: coeff}}; over a diagonal
+        # braiding q maps every column a.b to q(a, b), else it is None
+        self._derivation = (1, {(a,): {a: {(): one}} for a in letters},
+                            dict.fromkeys(((a,) for a in letters), one)
+                            if space.is_diagonal else None)
         if relations:
             for n in range(2, trunc + 1):
                 self._check_coideal(n)
@@ -184,28 +188,48 @@ class GradedQuotient:
         return self._rows[n]
 
     def _nichols_rows(self, n: int) -> dict:
-        """The kernel of D_n over the words a.b; stores D_n on the others."""
+        """The kernel of D_n over the words a.b; stores D_n on the others.
+
+        One pass per column a.b: (pi ox id) c_{V,B}(a ox b) and each term c.p
+        ox last of D_{n-1}(b) add NF(a.p) into the column's part for `last`.
+        Over a diagonal braiding c_{V,B}(a ox b) is q(a, b) b ox a with b
+        standard, and q(a, b) = q_{a b_1} q(a, b_2...), read from the previous
+        degree; a block braiding goes through braid_words.
+
+        The columns are filled without the guard ring's split check.  That is
+        exact, as for elimination fill-in (see linalg): an entry zero at one
+        prime only is a key that prime would not store, and it matters only
+        if it becomes a lead, whose inv splits; rref checks every entry of the
+        kernel.  The stored D_n carries such entries into the next degree
+        under the same argument, since they only ever multiply NF values.
+        """
         _check_cap(self.space, n, self.cap)
         space = self.space
         field = space.field
-        prev_n, prev = self._derivation
+        axpy, nf = field.axpy_unchecked, self._normal_form
+        prev_n, prev, prev_q = self._derivation
         assert prev_n == n - 1, f"degree {n} built after degree {prev_n}"
-        columns = {}
+        derivation, columns, qs = {}, {}, None if prev_q is None else {}
         for a in range(1, space.dim + 1):
             for b in self.basis(n - 1):
-                # c_{V,B}(a ox b) is braid_words((a,), b), one scalar on a
-                # diagonal space; with a ox D_{n-1}(b) it goes through pi ox id
-                terms = [(l, r[0], c) for (l, r), c
-                         in space.braid_words((a,), b).items()]
-                terms += [((a,) + p, last, c) for (p, last), c in prev[b].items()]
-                col: dict = {}
-                for word, last, c in terms:
-                    field.axpy(col, {(q, last): x for q, x
-                                     in self._normal_form(word).items()}, c)
-                columns[(a,) + b] = col
+                w = (a,) + b
+                if qs is None:
+                    col: dict = {}
+                    for (l, (last,)), c in space.braid_words((a,), b).items():
+                        axpy(col.setdefault(last, {}), nf(l), c)
+                else:
+                    qs[w] = field.mul(space.q[a - 1][b[0] - 1], prev_q[(a,) + b[1:]])
+                    col = {a: {b: qs[w]}}
+                for last, part in prev[b].items():
+                    out = col.setdefault(last, {})
+                    for p, c in part.items():
+                        axpy(out, nf((a,) + p), c)
+                derivation[w] = col
+                columns[w] = {(q, last): x for last, part in col.items()
+                              for q, x in part.items()}
         rows = kernel(field, columns)
-        self._derivation = (n, {w: col for w, col in columns.items()
-                                if w not in rows})
+        self._derivation = (n, {w: col for w, col in derivation.items()
+                                if w not in rows}, qs)
         return rows
 
     def _presented_rows(self, n: int) -> dict:

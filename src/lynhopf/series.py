@@ -136,6 +136,8 @@ def geometric_factor(step: int, trunc: int, height: int | None = None) -> PowerS
     This is the series (1 - t^step)^{-1}, or its height-truncated polynomial.
     """
     words.check_int(step, "step", 1)
+    if height is not None:
+        words.check_int(height, "height", 1)
     coeff_at = {}
     k = 0
     while k * step <= trunc and (height is None or k < height):

@@ -232,6 +232,25 @@ def test_bench_shaped_jobs_compute_once(tmp_path, monkeypatch):
         assert got == cli_out(two_run_guard, argv) and got[0] == 0, argv
 
 
+@pytest.mark.parametrize("trunc", [14, 15, 16])
+@pytest.mark.parametrize("source", ["cartan-A2", "cartan-A2(q=5)"])
+def test_generic_cartan_a2_stays_fused_from_trunc_14(source, trunc):
+    """Some Nichols column entry of these degrees is zero at one guard prime
+    only, for the generic q (a primitive root at each prime) and for q = 5
+    alike.  Columns are fill-in, not kept values: compute runs once, over
+    the guard ring, and returns what the two-run guard returns."""
+    cap = 2 ** trunc if 2 ** trunc > nichols.DEFAULT_MATRIX_CAP else None
+    for name in ("dims", "pbw", "factorize"):
+        calls = []
+
+        def compute(sp):
+            return COMPUTES[name](GradedQuotient(sp, "nichols", trunc, cap=cap))
+
+        got = run_guarded(source, trunc, counted(compute, calls))
+        assert calls == ["PairField"], name
+        assert got == two_run_guard(source, trunc, compute), name
+
+
 def test_a_compute_that_swallows_the_split_still_falls_back():
     """The ring records a split on itself: a compute that catches PrimeSplit
     and returns, or raises something else, is run again at each prime."""

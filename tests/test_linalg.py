@@ -348,6 +348,21 @@ def test_ring_rref_and_contains_refuse_split_results():
     assert ring.split
 
 
+def test_ring_kernel_refuses_an_entry_zero_at_one_prime():
+    """Columns filled without the split check may hold p1, zero at p1 only.
+    Kept off every lead, it reaches kernel's result, and rref's final check
+    is what refuses it: over F_p1 the kernel is x1, over F_p2 x1 - p1 x2."""
+    p1, p2 = 10007, 10009
+    columns = {"x1": {"r": p1}, "x2": {"r": 1}}
+    assert kernel(PrimeField(p1), {"x1": {"r": 0}, "x2": {"r": 1}}) == {
+        "x1": {"x1": 1}}
+    assert kernel(PrimeField(p2), columns) == {"x1": {"x1": 1, "x2": p2 - p1}}
+    ring = PairField(p1, p2)
+    with pytest.raises(PrimeSplit):
+        kernel(ring, columns)
+    assert ring.split
+
+
 def test_ring_rref_splits_only_at_a_lead_or_on_differing_results():
     """Back substitution reduces without the split check: once forward
     elimination has passed, rref over the ring splits only when the

@@ -11,13 +11,14 @@ import pytest
 
 from lynhopf import nichols, words
 from lynhopf.freealg import (BraidedSpace, TensorElement, _bracket_value,
-                             _bracket_word_value, coproduct, space_from_preset)
+                             _bracket_word_value, coproduct, fused_space,
+                             space_from_preset)
 from lynhopf.linalg import Eliminator, kernel, reduce_mod, rref
 from lynhopf.nichols import (BadPrimeError, GradedQuotient, MatrixCapExceeded,
                              PBWGenerator, nonneg_quotient_check, pbw_data,
                              pbw_series, run_guarded, subquotient_series,
                              symmetrizer, verify_factorization)
-from lynhopf.scalars import PrimeField, RationalField
+from lynhopf.scalars import PairField, PrimeField, RationalField
 from lynhopf.series import PowerSeries, geometric_factor
 
 from conftest import all_words, random_diagonal, swap_block_matrix
@@ -448,7 +449,110 @@ def test_non_monomial_braiding_matches_cartan_order_two(fld):
     assert verify_factorization(R).ok
 
 
-def test_diagonal_nichols_degrees_braid_once_per_column(monkeypatch):
+class PerTermColumns(GradedQuotient):
+    """The Nichols column builder that one-pass columns replaced, the oracle
+    of _nichols_rows: D_{n-1} flat in (standard word, last letter) keys, one
+    dict and one checked axpy per derivation term, and braid_words on every
+    column."""
+
+    def __init__(self, space, trunc):
+        super().__init__(space, "nichols", trunc)
+        one = space.field.one
+        self._derivation = (1, {(a,): {((), a): one}
+                                for a in range(1, space.dim + 1)})
+
+    def _nichols_rows(self, n):
+        space = self.space
+        field = space.field
+        prev_n, prev = self._derivation
+        assert prev_n == n - 1
+        columns = {}
+        for a in range(1, space.dim + 1):
+            for b in self.basis(n - 1):
+                terms = [(l, r[0], c) for (l, r), c
+                         in space.braid_words((a,), b).items()]
+                terms += [((a,) + p, last, c) for (p, last), c in prev[b].items()]
+                col = {}
+                for word, last, c in terms:
+                    field.axpy(col, {(q, last): x for q, x
+                                     in self._normal_form(word).items()}, c)
+                columns[(a,) + b] = col
+        rows = kernel(field, columns)
+        self._derivation = (n, {w: col for w, col in columns.items()
+                                if w not in rows})
+        return rows
+
+
+def flat_derivation(R, reduce=None):
+    """R's stored D_n in the oracle's (standard word, last letter) keys, with
+    each entry passed through `reduce` (zeros dropped) if it is given."""
+    reduce = reduce or (lambda x: x)
+    return {w: {(q, last): reduce(x) for last, part in col.items()
+                for q, x in part.items() if reduce(x)}
+            for w, col in R._derivation[1].items()}
+
+
+def column_space(name, fld):
+    """One one-pass-column case over fld, from the same seeded literals at
+    every prime: random integers 2..9999, or powers zeta^k of a sixth root
+    of unity (over Q, (-1)^k), or a rack."""
+    kind, d = name.split("/")
+    if kind == "s3-rack":
+        return space_from_preset("s3-rack(rationals=1)" if fld.char == 0
+                                 else f"s3-rack(prime={fld.p})")
+    if kind == "s4-rack":
+        return s4_rack(fld)
+    rng, d = random.Random(name), int(d)
+    if kind == "generic":
+        q = [[fld.from_int(rng.randrange(2, 10000)) for _ in range(d)]
+             for _ in range(d)]
+    else:
+        zeta = fld.from_int(-1) if fld.char == 0 else fld.element_of_order(6)
+        powers = [fld.one]
+        for _ in range(5):
+            powers.append(fld.mul(powers[-1], zeta))
+        q = [[rng.choice(powers) for _ in range(d)] for _ in range(d)]
+    return BraidedSpace(fld, d, "diagonal", q)
+
+
+PAIR = (10009, 10039)  # both with sixth roots of unity
+COLUMN_CASES = [f"{kind}/{d}" for kind in ("generic", "roots") for d in (2, 3)] + [
+    "s3-rack/3", "s4-rack/6"]
+
+
+@pytest.mark.parametrize("over", ["p", "q", "pair"])
+@pytest.mark.parametrize("name", COLUMN_CASES)
+def test_one_pass_columns_match_the_per_term_builder(name, over):
+    """Degree by degree, the one-pass columns give the per-term builder's
+    rows, dim R_n and stored D_n; over the guard ring the rows and D_n are
+    also, entry by entry, those of the run at each prime."""
+    top = {"2": 8, "3": 6, "6": 5}[name[-1]]  # by alphabet size
+    at = [column_space(name, PrimeField(p)) for p in PAIR]
+    if over == "p":
+        sp, at = at[0], []
+    elif over == "q":
+        sp, at = column_space(name, RationalField()), []
+    else:
+        sp = fused_space(PairField(*PAIR), *at)
+    R, oracle = GradedQuotient(sp, "nichols", top), PerTermColumns(sp, top)
+    at = [GradedQuotient(s, "nichols", top) for s in at]
+    for n in range(2, top + 1):
+        assert R._ensure(n) == oracle._ensure(n), n
+        assert R.dim(n) == oracle.dim(n), n
+        assert flat_derivation(R) == oracle._derivation[1], n
+        for Rp in at:
+            p = Rp.space.field.p
+            assert {lead: {w: c % p for w, c in row.items()}
+                    for lead, row in R._ensure(n).items()} == Rp._ensure(n), (p, n)
+            assert flat_derivation(R, lambda x: x % p) == flat_derivation(Rp), (p, n)
+    if not name.startswith("generic"):  # generic q: the tensor algebra
+        assert any(R._ensure(n) for n in range(2, top + 1))
+
+
+def test_diagonal_nichols_degrees_never_braid(monkeypatch):
+    """A diagonal Nichols degree reads q(a, b) = q_{a b_1} q(a, b_2...) from
+    the previous degree's scalars: no braid_words call and no _apply_slot.
+    Every carried scalar is braid_words((a,), b)'s."""
     from lynhopf import freealg, nichols
     calls = []
     braid_words = BraidedSpace.braid_words
@@ -465,12 +569,15 @@ def test_diagonal_nichols_degrees_braid_once_per_column(monkeypatch):
     monkeypatch.setattr(nichols, "_apply_slot", never)
     for sp in (space_from_preset("cartan-A2"),
                random_root_diagonal(3, random.Random(71))):
-        calls.clear()
         R = GradedQuotient(sp, "nichols", 6)
-        R.hilbert_series()
-        columns = [((a,), b) for n in range(2, 7) for a in range(1, sp.dim + 1)
-                   for b in R.basis(n - 1)]
-        assert sorted(calls) == sorted(columns)
+        for n in range(2, 7):
+            calls.clear()
+            R.dim(n)
+            assert calls == [], n
+            scalars = R._derivation[2]
+            assert len(scalars) == sp.dim * R.dim(n - 1)
+            for w, s in scalars.items():
+                assert braid_words(sp, w[:1], w[1:]) == {(w[1:], w[:1]): s}, w
 
 
 def test_presented_matches_nichols_for_quantum_plane(qp_nichols):

@@ -142,6 +142,10 @@ def test_geometric_factor():
     assert h.coeffs == tuple(1 if k in (0, 2, 4) else 0 for k in range(11))
     with pytest.raises(ValueError):
         geometric_factor(0, 5)
+    # a height is None or a positive int: no bool, float, zero or negative
+    for height in (True, 2.5, 0, -1):
+        with pytest.raises(ValueError, match="height must be"):
+            geometric_factor(1, 5, height)
 
 
 def test_binomial_factor():
