@@ -138,6 +138,17 @@ def _general_cmap(field, dim, matrix):
     return cmap
 
 
+def _dense(field, dim, cmap):
+    """The d^2 x d^2 matrix of a braiding map {(a, b): {(c, d): v}} in the
+    layout validate_braiding reads: _general_cmap's inverse."""
+    size = dim * dim
+    dense = [[field.zero] * size for _ in range(size)]
+    for (a, b), image in cmap.items():
+        for (c, d), v in image.items():
+            dense[(c - 1) * dim + d - 1][(a - 1) * dim + b - 1] = v
+    return dense
+
+
 def _cached(kind: str):
     """Memoize f(space, *args) in space._cache under (kind, *args).  Values
     are plain data (term dicts, tuples) that never refer to the space."""
@@ -265,12 +276,7 @@ class BraidedSpace:
         if self.is_diagonal:
             braiding = {"diagonal": [[fmt(v) for v in row] for row in self.q]}
         else:
-            size = self.dim * self.dim
-            dense = [[self.field.zero] * size for _ in range(size)]
-            for (a, b), image in self._cmap.items():
-                col = (a - 1) * self.dim + (b - 1)
-                for (c, d), v in image.items():
-                    dense[(c - 1) * self.dim + (d - 1)][col] = v
+            dense = _dense(self.field, self.dim, self._cmap)
             braiding = {"general": [[fmt(v) for v in row] for row in dense]}
         return {"field": self.field.to_json(), "dim": self.dim, "braiding": braiding}
 
@@ -521,7 +527,7 @@ def bracket(space: BraidedSpace, u, flavor: str = "left") -> BracketLetter:
 
 def bracket_word(space: BraidedSpace, sw, flavor: str = "left") -> TensorElement:
     """Product of the bracket letters along a monotonic super-word."""
-    sw = words.validate_superword(sw, monotonic=True)
+    sw = words.validate_superword(sw)
     return TensorElement(space, _bracket_word_value(
         space, sw, words.validate_word(words.concat(sw), space.dim), flavor))
 
@@ -687,16 +693,11 @@ def _parse_preset(text: str):
 
 
 def _s3_rack_matrix(field):
-    # conjugation action of the transpositions of S_3, constant cocycle -1
-    phi = {1: {1: 1, 2: 3, 3: 2}, 2: {1: 3, 2: 2, 3: 1}, 3: {1: 2, 2: 1, 3: 3}}
-    size = 9
-    dense = [[field.zero] * size for _ in range(size)]
-    for a in range(1, 4):
-        for b in range(1, 4):
-            col = (a - 1) * 3 + (b - 1)
-            c, d = phi[a][b], a
-            dense[(c - 1) * 3 + (d - 1)][col] = field.neg(field.one)
-    return dense
+    # conjugation action of the transpositions of S_3, constant cocycle -1:
+    # c(x_a ox x_b) = -x_{aba} ox x_a, aba = a if a = b, else the third one
+    minus_one = field.neg(field.one)
+    return _dense(field, 3, {(a, b): {(a if a == b else 6 - a - b, a): minus_one}
+                             for a in range(1, 4) for b in range(1, 4)})
 
 
 # A preset: its dimension and braiding kind, the parameters it takes besides

@@ -588,16 +588,18 @@ def verify_factorization(R: GradedQuotient, trunc: int | None = None) -> Factori
     return FactorizationReport(lhs == rhs, N, lhs, rhs, factors)
 
 
-def _rank_one_height(field, q):
-    """Least n with the q-integer [n] = 1 + q + ... + q^{n-1} equal to zero.
+def _rank_one_height(field, q, limit: int):
+    """Least n <= limit with the q-integer [n] = 1 + q + ... + q^{n-1} zero.
 
-    None means no such n (free polynomial behavior).  For q = 1 this is the
-    characteristic; otherwise it is the multiplicative order of q.
+    None means no such n up to limit (free polynomial behavior there).
     """
-    if q == field.one:
-        return field.char if field.char else None
-    m = field.multiplicative_order(q)
-    return m
+    total, power = field.zero, field.one
+    for n in range(1, limit + 1):
+        total = field.add(total, power)
+        if total == field.zero:
+            return n
+        power = field.mul(power, q)
+    return None
 
 
 def nonneg_quotient_check(R: GradedQuotient, u, trunc: int | None = None) -> NonnegReport:
@@ -618,8 +620,8 @@ def nonneg_quotient_check(R: GradedQuotient, u, trunc: int | None = None) -> Non
     if not alive:
         rank_one = PowerSeries.one(N)
     else:
-        q_uu = R.space.qprod(u, u)
-        rank_one = geometric_factor(step, N, _rank_one_height(R.space.field, q_uu))
+        height = _rank_one_height(R.space.field, R.space.qprod(u, u), N // step)
+        rank_one = geometric_factor(step, N, height)
     quotient = sq.series.div(rank_one)
     return NonnegReport(quotient.all_nonneg(), u, sq.series, rank_one, quotient)
 

@@ -25,7 +25,8 @@ class PowerSeries:
     coeffs: tuple  # tuple[int, ...], length trunc + 1
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(
+            words.check_int(c, "series coefficient", None) for c in self.coeffs))
         if len(self.coeffs) == 0:
             raise ValueError("a series needs at least the constant coefficient")
 
@@ -166,7 +167,7 @@ def lyndon_identity_check(d: int, trunc: int,
     check_trunc(trunc)
     if letter_dims is None:
         letter_dims = (1,) * d
-    if len(letter_dims) != d or any(m < 1 for m in letter_dims):
+    if len(letter_dims) != d or any(type(m) is not int or m < 1 for m in letter_dims):
         raise ValueError("letter_dims must list a positive size per letter")
     lyndon = words.enumerate_lyndon(d, max(trunc, 1))
     if len(set(letter_dims)) == 1:  # all letters of size m: dim V^u = m^|u|

@@ -30,20 +30,14 @@ def validate_word(w: Sequence[int], d: int | None = None) -> Word:
 
 
 def is_lyndon(w: Word) -> bool:
-    """True iff w is strictly smaller than each of its proper right factors.
+    """True iff w is strictly smaller than each of its proper right factors,
+    that is, iff w is its own Chen-Fox-Lyndon factorization.
 
-    O(|w|): w is Lyndon iff Duval's scan (Duval 1983) of the first factor
-    ends at |w| with period |w|.  The empty word is rejected (letters are the
-    smallest Lyndon words).
+    The empty word is rejected (letters are the smallest Lyndon words).
     """
-    n = len(w)
-    if n == 0:
+    if len(w) == 0:
         raise ValueError("empty word has no Lyndon property")
-    i, j = 0, 1
-    while j < n and w[i] <= w[j]:
-        i = 0 if w[i] < w[j] else i + 1
-        j += 1
-    return j == n and i == 0
+    return len(cfl_factorize(w)) == 1
 
 
 def cfl_factorize(w: Word) -> SuperWord:
@@ -70,13 +64,14 @@ def shirshov(u: Word) -> tuple[Word, Word]:
     """Shirshov decomposition u = v w with w the longest proper Lyndon right factor.
 
     Both halves are Lyndon and v < vw < w.  Requires u Lyndon of length >= 2.
-    O(|u|): w is the smallest proper right factor, the last CFL factor of u[1:].
+    One scan: the last CFL factor w of u[1:] is u's smallest proper right
+    factor (Duval 1983), so u is Lyndon iff u < w, and w is the split.
     """
     if len(u) < 2:
         raise ValueError(f"word {u} too short for a Shirshov decomposition")
-    if not is_lyndon(u):
-        raise ValueError(f"word {u} is not a Lyndon word")
     w = cfl_factorize(u[1:])[-1]
+    if not u < w:
+        raise ValueError(f"word {u} is not a Lyndon word")
     return u[:len(u) - len(w)], w
 
 
@@ -113,16 +108,15 @@ def enumerate_lyndon(d: int, n: int) -> list[Word]:
     return out
 
 
-def validate_superword(sw: Sequence[Sequence[int]], monotonic: bool = True) -> SuperWord:
+def validate_superword(sw: Sequence[Sequence[int]]) -> SuperWord:
     """Canonicalize a sequence of words; check Lyndon factors and monotonicity."""
     sw = tuple(tuple(f) for f in sw)
     for f in sw:
         if not is_lyndon(f):
             raise ValueError(f"factor {f} is not a Lyndon word")
-    if monotonic:
-        for a, b in zip(sw, sw[1:]):
-            if a < b:
-                raise ValueError(f"factors {a} < {b} violate monotonicity")
+    for a, b in zip(sw, sw[1:]):
+        if a < b:
+            raise ValueError(f"factors {a} < {b} violate monotonicity")
     return sw
 
 

@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import json
 import random
 import weakref
 from fractions import Fraction
@@ -539,7 +540,7 @@ def test_expand_monotonic_basis_round_trip(field):
                 back = back + bracket_word(sp, sw).scale(c)
             assert back == x
             for sw in coords:
-                assert words.validate_superword(sw, monotonic=True) == sw
+                assert words.validate_superword(sw) == sw
 
 
 def words_of(d, n):
@@ -790,6 +791,43 @@ def test_space_json_round_trip(field):
     with pytest.raises(ValueError, match="'diagonal' or 'general'"):
         space_from_json({"field": {"prime": 10007}, "dim": 1,
                          "braiding": {"upper": [["1"]]}})
+
+
+# to_json of s3-rack, and of cartan-A2 at q = -1 conjugated by g ox g,
+# g = [[1, 1], [0, 1]] (not monomial), over F_10007 and over Q: the dense
+# layout of a general braiding, fixed byte for byte
+CONJUGATED_A2 = [["-1", "0", "2", "-2"], ["0", "0", "1", "-2"],
+                 ["0", "-1", "0", "0"], ["0", "0", "0", "-1"]]
+GENERAL_SPACE_JSON = [
+    ("s3-rack",
+     '{"field": {"prime": 10007}, "dim": 3, "braiding": {"general": ['
+     '["10006", "0", "0", "0", "0", "0", "0", "0", "0"], '
+     '["0", "0", "0", "0", "0", "10006", "0", "0", "0"], '
+     '["0", "0", "0", "0", "0", "0", "0", "10006", "0"], '
+     '["0", "0", "10006", "0", "0", "0", "0", "0", "0"], '
+     '["0", "0", "0", "0", "10006", "0", "0", "0", "0"], '
+     '["0", "0", "0", "0", "0", "0", "10006", "0", "0"], '
+     '["0", "10006", "0", "0", "0", "0", "0", "0", "0"], '
+     '["0", "0", "0", "10006", "0", "0", "0", "0", "0"], '
+     '["0", "0", "0", "0", "0", "0", "0", "0", "10006"]]}}'),
+    ({"field": {"prime": 10007}, "dim": 2, "braiding": {"general": CONJUGATED_A2}},
+     '{"field": {"prime": 10007}, "dim": 2, "braiding": {"general": ['
+     '["10006", "0", "2", "10005"], ["0", "0", "1", "10005"], '
+     '["0", "10006", "0", "0"], ["0", "0", "0", "10006"]]}}'),
+    ({"field": {"rationals": True}, "dim": 2, "braiding": {"general": CONJUGATED_A2}},
+     '{"field": {"rationals": true}, "dim": 2, "braiding": {"general": ['
+     '["-1", "0", "2", "-2"], ["0", "0", "1", "-2"], '
+     '["0", "-1", "0", "0"], ["0", "0", "0", "-1"]]}}'),
+]
+
+
+@pytest.mark.parametrize("source, text", GENERAL_SPACE_JSON)
+def test_general_space_json_is_fixed(source, text):
+    sp = build_space(source)
+    assert json.dumps(sp.to_json()) == text
+    back = space_from_json(json.loads(text))
+    assert json.dumps(back.to_json()) == text
+    assert back.field == sp.field and back._cmap == sp._cmap
 
 
 def test_space_json_root_orders(field):

@@ -251,6 +251,22 @@ def test_generic_cartan_a2_stays_fused_from_trunc_14(source, trunc):
         assert got == two_run_guard(source, trunc, compute), name
 
 
+@pytest.mark.parametrize("source, word", [
+    ("quantum-plane", (1,)), ("cartan-A2(order=3)", (1,)),
+    ("cartan-A2(order=3)", (1, 2)), ("cartan-A2", (1,))])
+def test_nonneg_quotient_check_stays_fused(source, word):
+    """The rank-one height comes from summing q-integers in the field, which
+    the guard ring does at both primes at once: compute runs once, over the
+    guard ring, and returns the two-run guard's report."""
+    def compute(sp):
+        return nichols.nonneg_quotient_check(GradedQuotient(sp, "nichols", 8), word)
+
+    calls = []
+    got = run_guarded(source, 8, counted(compute, calls))
+    assert calls == ["PairField"]
+    assert got == two_run_guard(source, 8, compute) and got.ok
+
+
 def test_a_compute_that_swallows_the_split_still_falls_back():
     """The ring records a split on itself: a compute that catches PrimeSplit
     and returns, or raises something else, is run again at each prime."""

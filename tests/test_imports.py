@@ -1,6 +1,7 @@
 """The runtime stays pure standard library, keeps only the listed
 process-wide memos and per-quotient state, only freealg reads the internals
-of a space, and the names the bench tracer wraps exist."""
+of a space, only run_guarded reads the whole field in nichols, and the
+names the bench tracer wraps exist."""
 
 import ast
 import importlib
@@ -92,4 +93,19 @@ def test_only_freealg_reads_the_space_internals():
                if p.name != "freealg.py"
                for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
                if isinstance(node, ast.Attribute) and node.attr in private}
+    assert readers == set()
+
+
+def test_only_run_guarded_reads_the_whole_field_in_nichols():
+    """The guard ring Z/(p1 p2) has no componentwise answer to these reads
+    and splits the fused run on each, so in nichols only run_guarded, which
+    picks the primes, makes them; every other value comes from field sums
+    and products."""
+    whole = {"char", "p", "format", "to_json", "multiplicative_order",
+             "element_of_order"}
+    tree = ast.parse((SRC / "nichols.py").read_text(encoding="utf-8"))
+    readers = {(getattr(top, "name", None), node.attr) for top in tree.body
+               if getattr(top, "name", None) != "run_guarded"
+               for node in ast.walk(top)
+               if isinstance(node, ast.Attribute) and node.attr in whole}
     assert readers == set()

@@ -202,6 +202,9 @@ def test_lyndon_identity_validation():
         lyndon_identity_check(2, 5, letter_dims=(1,))
     with pytest.raises(ValueError):
         lyndon_identity_check(2, 5, letter_dims=(1, 0))
+    for dims in ((1.5, 1.5), (True, 2), (2, 2.0), ("2", 1)):
+        with pytest.raises(ValueError, match="letter_dims must list a positive size"):
+            lyndon_identity_check(2, 4, letter_dims=dims)
     for trunc in (-3, True, False):
         with pytest.raises(ValueError, match="trunc must be a nonnegative integer"):
             lyndon_identity_check(2, trunc)
@@ -217,6 +220,11 @@ def test_series_json_round_trip():
     assert s.to_json() == {"trunc": 6, "coeffs": list(s.coeffs)}
     with pytest.raises(ValueError):
         PowerSeries.from_json({"trunc": 3, "coeffs": [1, 2]})
+    for coeffs in ([1.9, "2", True], [1, 2.5], [1, True], ["1"]):
+        with pytest.raises(ValueError, match="series coefficient must be an integer"):
+            PowerSeries.from_json({"coeffs": coeffs})
+        with pytest.raises(ValueError, match="series coefficient must be an integer"):
+            PowerSeries(tuple(coeffs))
 
 
 def test_helpers():

@@ -181,6 +181,42 @@ def test_words_match_oracles_on_long_random_words(seed):
     assert lyndon_seen >= 80
 
 
+def test_is_lyndon_and_shirshov_match_oracles_on_long_seeded_words():
+    """Words of length 40-200 over d = 2..4, each with its least rotation
+    (Lyndon unless periodic), against the definitions; a word that is not
+    Lyndon has no Shirshov split."""
+    rng = random.Random(2902)
+    lyndon_seen = 0
+    for _ in range(40):
+        d, n = rng.randint(2, 4), rng.randint(40, 200)
+        w = tuple(rng.randint(1, d) for _ in range(n))
+        for x in (w, min(w[i:] + w[:i] for i in range(n))):
+            if lyndon_oracle(x):
+                lyndon_seen += 1
+                assert is_lyndon(x) and shirshov(x) == shirshov_oracle(x), x
+            else:
+                assert not is_lyndon(x), x
+                with pytest.raises(ValueError, match="is not a Lyndon word"):
+                    shirshov(x)
+    assert lyndon_seen >= 30
+
+
+def test_shirshov_and_is_lyndon_are_one_scan(monkeypatch):
+    """shirshov validates and splits with one cfl_factorize call (of u[1:])
+    and no is_lyndon call; is_lyndon is one cfl_factorize call."""
+    scans, tests = [], []
+    cfl, lyn = words.cfl_factorize, words.is_lyndon
+    monkeypatch.setattr(words, "cfl_factorize", lambda w: scans.append(w) or cfl(w))
+    monkeypatch.setattr(words, "is_lyndon", lambda w: tests.append(w) or lyn(w))
+    assert shirshov((1, 1, 2, 1, 2)) == ((1, 1, 2), (1, 2))
+    with pytest.raises(ValueError, match="is not a Lyndon word"):
+        shirshov((1, 2, 1, 2))
+    assert (scans, tests) == ([(1, 2, 1, 2), (2, 1, 2)], [])
+    scans.clear()
+    assert lyn((1, 2, 1, 2, 2)) and not lyn((2, 1))
+    assert scans == [(1, 2, 1, 2, 2), (2, 1)]
+
+
 def test_enumerate_lyndon_matches_successor_oracle():
     for d in range(1, 5):
         for n in range(1, {1: 9, 2: 11, 3: 7, 4: 6}[d]):
@@ -241,7 +277,7 @@ def test_increasing_lyndon_pair_concatenates_to_lyndon():
 # ---------------------------------------------------------------- super-words
 
 def test_validate_superword():
-    validate_superword(((2,), (1, 2)), monotonic=False)
+    validate_superword(((2,), (1, 2)))
     with pytest.raises(ValueError):
         validate_superword(((2, 1),))
     with pytest.raises(ValueError):
