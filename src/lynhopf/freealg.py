@@ -335,8 +335,6 @@ class TensorElement(_SparseElement):
         """Concatenation product."""
         self._same(other)
         fld = self.space.field
-        if self.is_homogeneous():
-            return TensorElement(self.space, _concat(fld, self.terms, other.terms))
         out: dict = {}
         for wa, ca in self.terms.items():
             fld.axpy(out, {wa + wb: cb for wb, cb in other.terms.items()}, ca)
@@ -382,12 +380,14 @@ class TensorElement(_SparseElement):
     def __repr__(self):
         if not self.terms:
             return "0"
-        bits = []
-        for w in self.support():
-            c = self.space.field.format(self.terms[w])
-            name = "1" if w == () else "x" + words.format_word(w)
-            bits.append(f"{c}*{name}")
-        return " + ".join(bits)
+        fmt = self.space.field.format
+        return " + ".join(f"{fmt(self.terms[w])}*{_term_name(w)}"
+                          for w in self.support())
+
+
+def _term_name(w: tuple) -> str:
+    """A word's name in a repr: 1 for the empty word, else x and its letters."""
+    return "1" if w == () else "x" + words.format_word(w)
 
 
 def _concat(fld, x: dict, y: dict) -> dict:
@@ -437,12 +437,8 @@ class TensorSquareElement(_SparseElement):
         if not self.terms:
             return "0"
         fmt = self.space.field.format
-
-        def name(w):
-            return "1" if w == () else "x" + words.format_word(w)
-
         return " + ".join(
-            f"{fmt(self.terms[k])}*{name(k[0])}(x){name(k[1])}"
+            f"{fmt(self.terms[k])}*{_term_name(k[0])}(x){_term_name(k[1])}"
             for k in self.support())
 
 

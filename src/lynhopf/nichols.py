@@ -588,26 +588,14 @@ def verify_factorization(R: GradedQuotient, trunc: int | None = None) -> Factori
     return FactorizationReport(lhs == rhs, N, lhs, rhs, factors)
 
 
-def _rank_one_height(field, q, limit: int):
-    """Least n <= limit with the q-integer [n] = 1 + q + ... + q^{n-1} zero.
-
-    None means no such n up to limit (free polynomial behavior there).
-    """
-    total, power = field.zero, field.one
-    for n in range(1, limit + 1):
-        total = field.add(total, power)
-        if total == field.zero:
-            return n
-        power = field.mul(power, q)
-    return None
-
-
 def nonneg_quotient_check(R: GradedQuotient, u, trunc: int | None = None) -> NonnegReport:
     """Divide the subquotient series by the rank-one Nichols series of bracket(u).
 
-    The rank-one space has self-braiding q_{u,u}; a dead generator (bracket
-    image zero in R, subquotient series 1) contributes the constant series 1
-    on both sides.  ok means the quotient has nonnegative coefficients.
+    The rank-one series is the Hilbert series of the Nichols quotient of the
+    line spanned by [u], with self-braiding q_{u,u}, placed at the multiples
+    of |u|; a dead generator (bracket image zero in R, subquotient series 1)
+    contributes the constant series 1 on both sides.  ok means the quotient
+    has nonnegative coefficients.
     """
     if not R.space.is_diagonal:
         raise NotImplementedError(
@@ -620,8 +608,9 @@ def nonneg_quotient_check(R: GradedQuotient, u, trunc: int | None = None) -> Non
     if not alive:
         rank_one = PowerSeries.one(N)
     else:
-        height = _rank_one_height(R.space.field, R.space.qprod(u, u), N // step)
-        rank_one = geometric_factor(step, N, height)
+        line = BraidedSpace(R.space.field, 1, "diagonal", [[R.space.qprod(u, u)]])
+        dims = GradedQuotient(line, "nichols", N // step).hilbert_series().coeffs
+        rank_one = PowerSeries.monomials(N, {k * step: c for k, c in enumerate(dims)})
     quotient = sq.series.div(rank_one)
     return NonnegReport(quotient.all_nonneg(), u, sq.series, rank_one, quotient)
 

@@ -44,9 +44,10 @@ class PowerSeries:
 
     @classmethod
     def monomials(cls, trunc: int, coeff_at: dict) -> "PowerSeries":
+        """coeff_at[k] at t^k; int keys outside 0..trunc are dropped."""
         c = [0] * (check_trunc(trunc) + 1)
         for k, v in coeff_at.items():
-            if 0 <= k <= trunc:
+            if 0 <= words.check_int(k, "exponent", None) <= trunc:
                 c[k] = v
         return cls(tuple(c))
 
@@ -78,7 +79,7 @@ class PowerSeries:
 
     def __pow__(self, k):
         """self^k for an integer k >= 0, by binary powering."""
-        if not isinstance(k, int):
+        if type(k) is not int:  # bools are not
             return NotImplemented
         if k < 0:
             raise ValueError(f"a series power needs k >= 0, got {k}")

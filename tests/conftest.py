@@ -6,7 +6,9 @@ import random
 import pytest
 
 from lynhopf.freealg import BraidedSpace
+from lynhopf.nichols import NonnegReport, subquotient_series
 from lynhopf.scalars import PrimeField
+from lynhopf.series import PowerSeries, geometric_factor
 
 
 @pytest.fixture
@@ -48,3 +50,46 @@ def swap_block_matrix(field):
                 c, d, v = b, a, field.one
             dense[(c - 1) * 3 + (d - 1)][col] = v
     return dense
+
+
+def cartan_diagonal(fld, q, a, d) -> BraidedSpace:
+    """The diagonal braiding of Cartan type for the Cartan matrix a and the
+    symmetrizing integers d: q_ii = q^{d_i} (not q^{d_i a_ii}), q_ij =
+    q^{d_i a_ij} for i < j, and q_ji = 1.  With letter 1 long, B2 is
+    d = (2, 1) and G2 is d = (3, 1), both with a_12 = -1."""
+    def power(k):
+        base, out = (q if k >= 0 else fld.inv(q)), fld.one
+        for _ in range(abs(k)):
+            out = fld.mul(out, base)
+        return out
+
+    n = len(d)
+    return BraidedSpace(fld, n, "diagonal", [
+        [power(d[i]) if i == j else power(d[i] * a[i][j]) if i < j else fld.one
+         for j in range(n)] for i in range(n)])
+
+
+def rank_one_height(field, q, limit: int):
+    """Least n <= limit with the q-integer [n] = 1 + q + ... + q^{n-1} zero,
+    or None: the height of x in the rank-one Nichols algebra k[x]/(x^h) of
+    self-braiding q (Andruskiewitsch-Schneider 2002)."""
+    total, power = field.zero, field.one
+    for n in range(1, limit + 1):
+        total = field.add(total, power)
+        if total == field.zero:
+            return n
+        power = field.mul(power, q)
+    return None
+
+
+def oracle_nonneg_quotient_check(R, u, trunc=None) -> NonnegReport:
+    """nonneg_quotient_check with the rank-one series summed from q-integers."""
+    N = R.trunc if trunc is None else trunc
+    sq = subquotient_series(R, u, N)
+    u, step = sq.word, len(sq.word)
+    rank_one = PowerSeries.one(N)
+    if step <= N and sq.series.coeffs[step]:
+        height = rank_one_height(R.space.field, R.space.qprod(u, u), N // step)
+        rank_one = geometric_factor(step, N, height)
+    quotient = sq.series.div(rank_one)
+    return NonnegReport(quotient.all_nonneg(), u, sq.series, rank_one, quotient)

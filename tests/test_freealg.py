@@ -634,6 +634,31 @@ def test_reprs_show_small_values(field):
     assert repr(TensorSquareElement(sp, {})) == "0"
 
 
+@pytest.mark.parametrize("fld,want", [
+    (PrimeField(10007), ("5004*1 + 7*x1 + 10004*x3 + 1*x213",
+                         "10004*1(x)1 + 1*x3(x)1 + 5004*1(x)x12 + 5*x2(x)x1 "
+                         "+ 10004*x11(x)x3")),
+    (RationalField(), ("1/2*1 + 7*x1 + -3*x3 + 1*x213",
+                       "-3*1(x)1 + 1*x3(x)1 + 1/2*1(x)x12 + 5*x2(x)x1 "
+                       "+ -3*x11(x)x3"))], ids=["prime", "rationals"])
+def test_element_reprs_are_fixed(fld, want):
+    """Terms in support order, each coeff*name, with 1 naming the empty word
+    on either leg of a tensor square."""
+    sp = BraidedSpace(fld, 3, "diagonal", [[fld.one] * 3] * 3)
+    half, minus_three = fld.inv(fld.from_int(2)), fld.neg(fld.from_int(3))
+    x = sp.element({(): half, (3,): minus_three, (2, 1, 3): fld.one,
+                    (1,): fld.from_int(7)})
+    sq = TensorSquareElement(sp, {((), ()): minus_three, ((), (1, 2)): half,
+                                  ((3,), ()): fld.one, ((2,), (1,)): fld.from_int(5),
+                                  ((1, 1), (3,)): minus_three})
+    assert (repr(x), repr(sq)) == want
+    assert [repr(sp.zero()), repr(sp.unit()), repr(sp.generator(2))] == [
+        "0", "1*1", "1*x2"]
+    assert [repr(TensorSquareElement(sp, {})),
+            repr(TensorSquareElement.from_pair(sp.unit(), sp.unit()))] == [
+        "0", "1*1(x)1"]
+
+
 def test_antipode_identity(field):
     """m (S ox id) Delta == unit eps == m (id ox S) Delta."""
     for sp in (random_diagonal(field, 2, random.Random(101)),

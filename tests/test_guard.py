@@ -9,12 +9,14 @@ from fractions import Fraction
 
 import pytest
 
-from lynhopf import cli, nichols
+from lynhopf import cli, nichols, words
 from lynhopf.freealg import TensorElement, build_space, source_requirements
 from lynhopf.nichols import (BadPrimeError, GradedQuotient, pbw_data,
                              run_guarded, subquotient_series,
                              verify_factorization)
 from lynhopf.scalars import PrimeSplit, next_prime_with
+
+from conftest import oracle_nonneg_quotient_check
 
 
 def two_run_guard(source, trunc, compute, prime=None, second_prime=None):
@@ -255,9 +257,9 @@ def test_generic_cartan_a2_stays_fused_from_trunc_14(source, trunc):
     ("quantum-plane", (1,)), ("cartan-A2(order=3)", (1,)),
     ("cartan-A2(order=3)", (1, 2)), ("cartan-A2", (1,))])
 def test_nonneg_quotient_check_stays_fused(source, word):
-    """The rank-one height comes from summing q-integers in the field, which
-    the guard ring does at both primes at once: compute runs once, over the
-    guard ring, and returns the two-run guard's report."""
+    """The rank-one series is the Nichols quotient of a one-letter space,
+    which the guard ring computes at both primes at once: compute runs
+    once, over the guard ring, and returns the two-run guard's report."""
     def compute(sp):
         return nichols.nonneg_quotient_check(GradedQuotient(sp, "nichols", 8), word)
 
@@ -265,6 +267,38 @@ def test_nonneg_quotient_check_stays_fused(source, word):
     got = run_guarded(source, 8, counted(compute, calls))
     assert calls == ["PairField"]
     assert got == two_run_guard(source, 8, compute) and got.ok
+
+
+@pytest.mark.parametrize("source", [
+    "quantum-plane", "quantum-plane(order=5)", "cartan-A2", "cartan-A2(order=3)",
+    "cartan-A2(order=4)", "cartan-A2(order=6)"])
+def test_guarded_nonneg_quotient_check_matches_the_q_integer_oracle(source):
+    """Over the guard ring, the reports for every Lyndon word of length <= 3
+    are those the q-integer oracle gives at each prime."""
+    def checks(check):
+        def compute(sp):
+            R = GradedQuotient(sp, "nichols", 10)
+            return tuple(check(R, u) for u in words.enumerate_lyndon(2, 3))
+        return compute
+
+    got = run_guarded(source, 10, checks(nichols.nonneg_quotient_check))
+    assert got == two_run_guard(source, 10, checks(oracle_nonneg_quotient_check))
+
+
+def test_a_q_integer_zero_at_one_prime_splits_the_guard():
+    """q = 2 on one letter: [3]_2 = 7 vanishes mod 7 but not mod 11, so the
+    fused run splits, each prime runs alone, and their reports differ."""
+    source = {"field": {"prime": 11}, "dim": 1,
+              "braiding": {"diagonal": [["2"]]}}
+
+    def compute(sp):
+        return nichols.nonneg_quotient_check(GradedQuotient(sp, "nichols", 4), (1,))
+
+    calls = []
+    got = outcome(run_guarded, source, 4, counted(compute, calls), second_prime=7)
+    assert calls == ["PairField", "PrimeField", "PrimeField"]
+    assert got == outcome(two_run_guard, source, 4, compute, second_prime=7)
+    assert got[0] is BadPrimeError
 
 
 def test_a_compute_that_swallows_the_split_still_falls_back():

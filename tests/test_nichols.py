@@ -11,17 +11,18 @@ import pytest
 
 from lynhopf import nichols, words
 from lynhopf.freealg import (BraidedSpace, TensorElement, _bracket_value,
-                             _bracket_word_value, coproduct, fused_space,
-                             space_from_preset)
+                             _bracket_word_value, bracket, coproduct,
+                             fused_space, space_from_preset)
 from lynhopf.linalg import Eliminator, kernel, reduce_mod, rref
 from lynhopf.nichols import (BadPrimeError, GradedQuotient, MatrixCapExceeded,
                              PBWGenerator, nonneg_quotient_check, pbw_data,
                              pbw_series, run_guarded, subquotient_series,
                              symmetrizer, verify_factorization)
-from lynhopf.scalars import PairField, PrimeField, RationalField
+from lynhopf.scalars import PairField, PrimeField, RationalField, primitive_root
 from lynhopf.series import PowerSeries, geometric_factor
 
-from conftest import all_words, random_diagonal, swap_block_matrix
+from conftest import (all_words, cartan_diagonal, oracle_nonneg_quotient_check,
+                      random_diagonal, swap_block_matrix)
 
 
 # ------------------------------------------------------------- oracle pieces
@@ -837,8 +838,7 @@ def test_generic_cartan_a2_known_answers_at_trunc_14(preset):
 
 def b2_space(fld, q):
     """B2 with q11 = q^2, q12 = q^-2, q21 = 1 and q22 = q."""
-    q2 = fld.mul(q, q)
-    return BraidedSpace(fld, 2, "diagonal", [[q2, fld.inv(q2)], [fld.one, q]])
+    return cartan_diagonal(fld, q, ((2, -1), (-2, 2)), (2, 1))
 
 
 @pytest.mark.parametrize("p", [10009, 10039])
@@ -867,8 +867,7 @@ def test_b2_known_answers(p, order, N, dims):
 
 def g2_space(fld, q):
     """G2 with letter 1 long: q11 = q^3, q12 = q^-3, q21 = 1 and q22 = q."""
-    q3 = fld.mul(q, fld.mul(q, q))
-    return BraidedSpace(fld, 2, "diagonal", [[q3, fld.inv(q3)], [fld.one, q]])
+    return cartan_diagonal(fld, q, ((2, -1), (-3, 2)), (3, 1))
 
 
 def g2_order_4_series(N):
@@ -903,6 +902,52 @@ def test_g2_at_order_4_pbw_data(p):
     assert sorted(len(g.word) for g in data.generators) == [1, 1, 2, 3, 4, 5]
     assert {g.height for g in data.generators} == {4}
     assert pbw_series(data) == R.hilbert_series() == g2_order_4_series(20)
+
+
+@pytest.mark.parametrize("p", [10009, 10037])
+def test_g2_at_order_4_factorization(p):
+    """The six nontrivial factors sit on G2's root words, each the rank-one
+    series of its root vector: q_{u,u} is q or q^3, of order 4, so height 4."""
+    fld = PrimeField(p)
+    R = GradedQuotient(g2_space(fld, fld.element_of_order(4)), "nichols", 12)
+    rep = verify_factorization(R)
+    assert rep.ok and rep.lhs == g2_order_4_series(12)
+    roots = {f.word: f.series for f in rep.factors if any(f.series.coeffs[1:])}
+    assert sorted(roots) == [(1,), (1, 2), (1, 2, 1, 2, 2), (1, 2, 2),
+                             (1, 2, 2, 2), (2,)]
+    for u, series in roots.items():
+        assert series == geometric_factor(len(u), 12, 4), u
+        check = nonneg_quotient_check(R, u)
+        assert check.rank_one == check.factor == series, u
+        assert check.quotient == PowerSeries.one(12), u
+
+
+def test_cartan_diagonal_builds_the_a2_preset():
+    p = 10009
+    for text, q in (("cartan-A2", primitive_root(p)),
+                    ("cartan-A2(order=3)", PrimeField(p).element_of_order(3))):
+        preset = space_from_preset(text, prime=p)
+        built = cartan_diagonal(PrimeField(p), q, ((2, -1), (-1, 2)), (1, 1))
+        assert built.to_json() == preset.to_json(), text
+
+
+@pytest.mark.parametrize("p", [10009, 10037])
+@pytest.mark.parametrize("a,d,serre", [
+    (((2, -1), (-1, 2)), (1, 1), ((1, 1, 2), (1, 2, 2))),
+    (((2, -1), (-2, 2)), (2, 1), ((1, 1, 2), (1, 2, 2, 2))),
+    (((2, -1), (-3, 2)), (3, 1), ((1, 1, 2), (1, 2, 2, 2, 2)))],
+    ids=["A2", "B2", "G2"])
+def test_quantum_serre_relations_present_the_nichols_algebra(p, a, d, serre):
+    """Over generic q the quantum Serre relations ad_c(x_i)^{1-a_ij}(x_j),
+    the brackets of 1^{1-a_12}2 and 12^{1-a_21}, generate the Nichols relations
+    (Rosso 1998; Lusztig 1993): equal series and equal factorizations."""
+    fld = PrimeField(p)
+    sp = cartan_diagonal(fld, fld.from_int(11), a, d)
+    relations = tuple(bracket(sp, u).value for u in serre)
+    presented = GradedQuotient(sp, "presented", 7, relations=relations)
+    nichols_R = GradedQuotient(sp, "nichols", 7)
+    assert presented.hilbert_series() == nichols_R.hilbert_series()
+    assert verify_factorization(presented) == verify_factorization(nichols_R)
 
 
 def s4_rack(fld):
@@ -1601,6 +1646,36 @@ def test_nonneg_rational_boson():
     assert rep.ok
     assert rep.factor.coeffs == (1,) * 5
     assert rep.rank_one.coeffs == (1,) * 5
+
+
+def test_nonneg_quotient_check_matches_the_q_integer_oracle():
+    """The rank-one factor read from the one-letter Nichols quotient equals
+    the series summed from q-integers, on seeded diagonal spaces: q = 1 in
+    characteristic p (height p), roots of unity, random residues and Q."""
+    rng = random.Random(30)
+    spaces = [(BraidedSpace(PrimeField(p), 1, "diagonal", [[1]]), 10)
+              for p in (3, 5, 7)]
+    for p, orders in ((10009, (1, 2, 3, 4, 6)), (10007, (1, 2))):
+        fld = PrimeField(p)
+        roots = [fld.element_of_order(m) for m in orders]
+        spaces += [(random_diagonal(fld, d, rng, roots), 8)
+                   for d in (1, 2, 2, 2)]
+    for p in (13, 7, 3):
+        spaces += [(random_diagonal(PrimeField(p), d, rng), 8) for d in (1, 2, 2)]
+    Q = RationalField()
+    spaces.append((BraidedSpace(Q, 2, "diagonal", [[Fraction(-1), Fraction(1, 2)],
+                                                    [Fraction(3), Fraction(1)]]), 6))
+    reports = 0
+    for sp, trunc in spaces:
+        R = GradedQuotient(sp, "nichols", trunc)
+        for u in words.enumerate_lyndon(sp.dim, 3):
+            got = nonneg_quotient_check(R, u)
+            assert got == oracle_nonneg_quotient_check(R, u), (sp.q, u)
+            reports += 1
+    assert reports == 3 + 2 * (1 + 3 * 5) + 3 * (1 + 2 * 5) + 5
+    for sp, trunc in spaces[:3]:
+        rep = nonneg_quotient_check(GradedQuotient(sp, "nichols", trunc), (1,))
+        assert rep.rank_one == geometric_factor(1, trunc, sp.field.p)
 
 
 def test_nonneg_needs_diagonal(rack_nichols):

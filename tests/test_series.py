@@ -89,9 +89,13 @@ def test_power_rejects_negative_and_non_integer_exponents():
     s = geometric_factor(1, 5)
     with pytest.raises(ValueError, match="k >= 0"):
         s ** -1
-    for k in (2.0, 0.5, "2", None):
+    for k in (2.0, 0.5, "2", None, True, False):
         with pytest.raises(TypeError):
             s ** k
+    for key in (True, False, 1.0, "1", None):
+        with pytest.raises(ValueError, match="exponent must be an integer"):
+            PowerSeries.monomials(3, {key: 5})
+    assert PowerSeries.monomials(3, {-1: 5, 2: 7, 4: 5}).coeffs == (0, 0, 7, 0)
     for trunc in (-3, True, False, 2.0):
         for build in (PowerSeries.one, PowerSeries.zero,
                       lambda n: PowerSeries.monomials(n, {0: 1}),
