@@ -80,23 +80,51 @@ def validate_braiding(field, dim: int, kind: str, data) -> BraidingReport:
     `data` is the d x d scalar matrix for kind "diagonal", or the d^2 x d^2
     matrix (rows and columns indexed by (i-1)*d + (j-1)) for kind "general".
     """
-    return _validated_braiding(field, dim, kind, tuple(map(tuple, data)))[0]
+    return _checked_braiding(field, dim, kind, data)[0]
+
+
+def _scalar(field, x):
+    """x as a raw scalar of `field`: an int is reduced through from_int, a
+    value of the field's own scalar type is kept, and anything else is a
+    ValueError."""
+    if type(x) is int:
+        return field.from_int(x)
+    if type(x) is not type(field.zero):
+        raise ValueError(f"{x!r} is not a scalar of {field!r}")
+    return x
+
+
+def _checked_braiding(field, dim: int, kind: str, data):
+    """_validated_braiding on the frozen rows of `data`, or a failing report
+    if an entry is neither an int nor a raw scalar of the field.  The check
+    comes first because the memo would take 2.0 or True for the rows of 2
+    or 1."""
+    data = tuple(map(tuple, data))
+    types = {int, type(field.zero)}
+    if not types.issuperset(map(type, itertools.chain.from_iterable(data))):
+        bad = next(x for row in data for x in row if type(x) not in types)
+        message = f"entry {bad!r} is not a scalar of {field!r}"
+        return BraidingReport(False, message), None, None, None
+    return _validated_braiding(field, dim, kind, data)
 
 
 @functools.lru_cache(maxsize=64)
 def _validated_braiding(field, dim: int, kind: str, data: tuple):
-    """validate_braiding's report and, for general braidings, the braiding
-    map and its inverse; the maps are None unless the report is ok, and
+    """validate_braiding's report, the rows of `data` reduced into the field
+    (see _scalar), and for general braidings the braiding map and its
+    inverse; the rows are None unless the report is ok, the maps too, and
     always for diagonal braidings, whose spaces keep q alone.
 
     Memoized per process on the frozen rows `data`, so each distinct
-    braiding is checked once; the shared maps are never mutated."""
+    braiding is reduced and checked once; the shared maps are never
+    mutated."""
 
     def fail(message, triple=None):
-        return BraidingReport(False, message, triple), None, None
+        return BraidingReport(False, message, triple), None, None, None
 
     if dim < 1 or dim > words.MAX_ALPHABET:
         return fail(f"dimension {dim} outside 1..{words.MAX_ALPHABET}")
+    data = tuple(tuple(_scalar(field, x) for x in row) for row in data)
     cmap = inv = None
     if kind == "diagonal":
         if len(data) != dim or any(len(r) != dim for r in data):
@@ -120,7 +148,7 @@ def _validated_braiding(field, dim: int, kind: str, data: tuple):
             return fail(f"braid equation fails on basis triple {bad}", bad)
     else:
         return fail(f"unknown braiding kind {kind!r}")
-    return BraidingReport(True, "ok"), cmap, inv
+    return BraidingReport(True, "ok"), data, cmap, inv
 
 
 def _general_cmap(field, dim, matrix):
@@ -168,8 +196,7 @@ class BraidedSpace:
     """A finite-dimensional braided vector space with cached bracket data."""
 
     def __init__(self, field, dim: int, kind: str, data):
-        data = tuple(map(tuple, data))
-        report, self._cmap, self._cmap_inv = _validated_braiding(
+        report, data, self._cmap, self._cmap_inv = _checked_braiding(
             field, dim, kind, data)
         if not report.ok:
             raise ValueError(f"invalid braiding: {report.message}")
@@ -267,6 +294,7 @@ class BraidedSpace:
         clean = {}
         for w, c in terms.items():
             w = words.validate_word(w, self.dim)
+            c = _scalar(self.field, c)
             if c != self.field.zero:
                 clean[w] = c
         return TensorElement(self, clean)

@@ -479,6 +479,9 @@ def _sweep(R: GradedQuotient, m: int, lyndon):
     """Degree-m coefficients of the subquotient series of the Lyndon words u
     in `lyndon` (a _lyndon_table through degree >= m, so the cap holds) with
     |u| dividing m, in one sweep: yields (u, coefficient), largest u first.
+    It serves subquotient_series for every braiding and verify_factorization
+    on block braidings; diagonal factorizations walk the hard letters
+    instead (_hard_letters), with the same counts.
 
     The rows are the monotonic bracket words of degree m, one per word by
     Chen-Fox-Lyndon uniqueness, sorted by last factor, descending; over a
@@ -559,25 +562,108 @@ def subquotient_series(R: GradedQuotient, u, trunc: int | None = None) -> Subquo
     return SubquotientSeries(u, PowerSeries(tuple(coeffs)))
 
 
+def _hard_letters(R: GradedQuotient, N: int, lyndon) -> dict:
+    """The hard letters of a diagonal R through degree N, {u: height or None},
+    found in one walk up the degrees over the hard letters alone; `lyndon`
+    is a _lyndon_table through N.  The subquotient series of a hard letter u
+    is geometric_factor(|u|, N, height), that of any other Lyndon word is 1:
+    the counts of _sweep, for far fewer rows.
+
+    Two facts confine the walk to the hard letters.  Every hard letter of
+    length >= 2 has hard Shirshov factors (Lalonde-Ram 1995 on the standard
+    factorization; Kharchenko 1999 for hard super-letters), so the
+    candidates of degree m, the joins vw of hard letters v < w with |v| +
+    |w| = m and shirshov(vw) = (v, w), hold every hard letter of length m,
+    and a Lyndon word that is never a candidate has the factor 1.  A power
+    u^h at u's height lies in the span of lex-larger restricted words
+    (Kharchenko's restricted PBW basis, which the paper's A^(u)/I^(u)
+    generalizes), so rows that hold each letter fewer times than its height
+    keep, at every step, the span that _sweep has there.
+
+    In a degree with R_m = T_m every Lyndon word of length m is hard with
+    no height; in one with R_m = 0 each hard letter with no height and |u|
+    dividing m takes the height m/|u|; both by _sweep's argument, imaging
+    nothing.  Any other degree runs _sweep's loop.  Its steps, descending,
+    are the hard letters with no height whose length divides m and the
+    candidates; its rows are the monotonic super-words over the hard
+    letters that are not powers, each letter capped below its height,
+    sorted by last factor, descending.  Before each step u every row with
+    last factor >= u goes in, then u^(m/|u|): if that raises the rank a
+    candidate becomes hard, if not a hard step takes the height m/|u|.  The
+    remaining rows go in last, since with the steps they are the restricted
+    words of degree m, whose images must span R_m; once they do, no image
+    is built, as in _sweep.
+    """
+    field, d = R.space.field, R.space.dim
+    hard: dict = {}
+    for m in range(1, N + 1):
+        dim = R.dim(m)
+        if dim == d ** m:
+            hard.update(dict.fromkeys(lyndon[m]))
+            continue
+        steps = [u for u, h in hard.items() if h is None and m % len(u) == 0]
+        if not dim:
+            hard.update((u, m // len(u)) for u in steps)
+            continue
+        steps += [v + w for v in hard for w in hard if v < w and len(v) + len(w) == m
+                  and words.shirshov(v + w) == (v, w)]
+        steps.sort(reverse=True)
+        caps = {u: h - 1 for u, h in hard.items() if h is not None}
+        rows = sorted((sw for sw in words.monotonic_superwords(hard, m, caps)
+                       if sw[0] != sw[-1]), key=lambda sw: sw[-1], reverse=True)
+        span = Eliminator(field)
+
+        def insert(sw) -> bool:
+            return span.rank < dim and span.insert(_image(R, sw, words.concat(sw), m))
+
+        i = 0
+        for u in steps:
+            while i < len(rows) and rows[i][-1] >= u:
+                insert(rows[i])
+                i += 1
+            k = m // len(u)
+            if insert((u,) * k):
+                hard.setdefault(u, None)
+            elif u in hard:
+                hard[u] = k
+        for sw in rows[i:]:
+            insert(sw)
+        if span.rank != dim:
+            raise RuntimeError(
+                f"degree {m}: the bracket words span rank {span.rank}, "
+                f"not dim R_{m} = {dim}")
+    return hard
+
+
 def verify_factorization(R: GradedQuotient, trunc: int | None = None) -> FactorizationReport:
     """Compare hilbert_series with the product of all subquotient series.
 
-    One sweep per degree, over one Lyndon table, yields every factor's
-    coefficient of that degree and checks that the bracket words span R_m.
-    Equal factors share one series; the product takes each distinct one
-    once, as a power, so its cost follows the distinct factors, not the
-    Lyndon words (in a free algebra, one series per length).
+    Over a diagonal braiding one walk up the degrees finds the hard letters
+    and their heights (_hard_letters), which fix every factor.  Over a block
+    braiding one sweep per degree yields every factor's coefficient of that
+    degree.  Both check that the bracket words span R_m, and both read one
+    Lyndon table, which also lists the factors.  Equal factors share one
+    series; the product takes each distinct one once, as a power, so its
+    cost follows the distinct factors, not the Lyndon words (in a free
+    algebra, one series per length).
     """
     N = R._degree(trunc)
     lhs = R.hilbert_series(N)
     D = len(R.space.component_partition())
     lyndon = _lyndon_table(R, D, range(1, N + 1))
-    coeffs = {u: [1] + [0] * N for bucket in lyndon for u in bucket}
-    for m in range(1, N + 1):
-        for u, c in _sweep(R, m, lyndon):
-            coeffs[u][m] = c
-    order = sorted(coeffs)  # the lex order of the Lyndon words
-    keys = [tuple(coeffs[u]) for u in order]
+    if R.space.is_diagonal:
+        hard = _hard_letters(R, N, lyndon)
+        geometric = {(k, h): geometric_factor(k, N, h).coeffs
+                     for k, h in {(len(u), h) for u, h in hard.items()}}
+        coeffs = {u: geometric[len(u), h] for u, h in hard.items()}
+    else:
+        coeffs = {u: [1] + [0] * N for bucket in lyndon for u in bucket}
+        for m in range(1, N + 1):
+            for u, c in _sweep(R, m, lyndon):
+                coeffs[u][m] = c
+    trivial = PowerSeries.one(N).coeffs
+    order = sorted(itertools.chain.from_iterable(lyndon))  # lex order
+    keys = [tuple(coeffs.get(u, trivial)) for u in order]
     counts = Counter(keys)  # coefficient tuple -> number of factors with it
     shared = {c: PowerSeries(c) for c in counts}
     factors = tuple(SubquotientSeries(u, shared[c]) for u, c in zip(order, keys))

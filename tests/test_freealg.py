@@ -42,6 +42,36 @@ def test_validate_diagonal(field):
     assert not validate_braiding(field, 2, "upper", [[1, 2], [3, 4]]).ok
 
 
+def test_scalars_enter_through_the_field():
+    """Int braiding entries and element coefficients are reduced through
+    the field, so they act as their residues; any other value that is not
+    a raw scalar of the field is rejected."""
+    f7 = PrimeField(7)
+    with pytest.raises(ValueError, match=r"diagonal entry q\[1\]\[1\] is zero"):
+        BraidedSpace(f7, 1, "diagonal", [[7]])
+    nine, two = (BraidedSpace(f7, 1, "diagonal", [[x]]) for x in (9, 2))
+    assert nine.q == two.q == ((2,),)
+    assert nine.to_json() == two.to_json()
+    assert space_from_json(nine.to_json()).q == two.q
+    for bad in (2.5, 2.0, True, Fraction(2)):
+        with pytest.raises(ValueError, match="not a scalar of PrimeField"):
+            BraidedSpace(f7, 1, "diagonal", [[bad]])
+        assert not validate_braiding(f7, 1, "diagonal", [[bad]]).ok
+        with pytest.raises(ValueError, match="not a scalar of PrimeField"):
+            two.element({(1,): bad})
+    assert two.element({(1,): 7}).is_zero()
+    assert two.element({(1,): 9, (1, 1): -1}).terms == {(1,): 2, (1, 1): 6}
+    flip = [(i % 2) * 2 + i // 2 for i in range(4)]  # x_a ox x_b -> x_b ox x_a
+    general = [[9 if j == flip[i] else 0 for j in range(4)] for i in range(4)]
+    assert BraidedSpace(f7, 2, "general", general).to_json()["braiding"] == {
+        "general": [["2" if j == flip[i] else "0" for j in range(4)] for i in range(4)]}
+    rationals = BraidedSpace(RationalField(), 1, "diagonal", [[-2]])
+    assert rationals.q == ((Fraction(-2),),)
+    assert rationals.element({(1,): Fraction(1, 2)}).terms == {(1,): Fraction(1, 2)}
+    with pytest.raises(ValueError, match="not a scalar of RationalField"):
+        BraidedSpace(RationalField(), 1, "diagonal", [[0.5]])
+
+
 def test_validate_general(field):
     from lynhopf.freealg import _s3_rack_matrix
     assert validate_braiding(field, 3, "general", _s3_rack_matrix(field)).ok
@@ -167,7 +197,7 @@ def test_memoized_validation_matches_the_uncached_check(fld):
             for d, kind, data in cases} == {True, False}
     for _ in range(2):
         for d, kind, data in cases:
-            report, cmap, inv = uncached(fld, d, kind, tuple(map(tuple, data)))
+            report, rows, cmap, inv = uncached(fld, d, kind, tuple(map(tuple, data)))
             assert validate_braiding(fld, d, kind, data) == report
             if not report.ok:
                 with pytest.raises(ValueError) as exc:
@@ -175,6 +205,7 @@ def test_memoized_validation_matches_the_uncached_check(fld):
                 assert str(exc.value) == f"invalid braiding: {report.message}"
                 continue
             sp = BraidedSpace(fld, d, kind, data)
+            assert rows == tuple(map(tuple, data))
             assert (sp._cmap, sp._cmap_inv) == (cmap, inv)
             assert sp.q == (tuple(map(tuple, data)) if kind == "diagonal"
                             else None)

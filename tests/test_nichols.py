@@ -922,6 +922,29 @@ def test_g2_at_order_4_factorization(p):
         assert check.quotient == PowerSeries.one(12), u
 
 
+@pytest.mark.parametrize("p", [10009, 10037])
+@pytest.mark.parametrize("order,trunc", [(None, 14), (4, 18)],
+                         ids=["generic", "order4"])
+def test_g2_factorization_at_the_top_rungs(p, order, trunc):
+    """Generic G2 at trunc 14 and G2 at a primitive 4th root of unity at
+    trunc 18: the closed form, and one factor per positive root, on G2's
+    root words, 1/(1 - t^{|u|}) at generic q and of height 4 at the root of
+    unity (Kharchenko 1999; Lalonde-Ram 1995)."""
+    fld = PrimeField(p)
+    q = fld.from_int(11) if order is None else fld.element_of_order(order)
+    R = GradedQuotient(g2_space(fld, q), "nichols", trunc, cap=2 ** trunc)
+    closed = PowerSeries.one(trunc)
+    for h in (1, 1, 2, 3, 4, 5):  # the heights of G2's positive roots
+        closed = closed * geometric_factor(h, trunc, order)
+    rep = verify_factorization(R)
+    assert rep.ok and rep.lhs == closed
+    roots = {f.word: f.series for f in rep.factors if any(f.series.coeffs[1:])}
+    assert sorted(roots) == [(1,), (1, 2), (1, 2, 1, 2, 2), (1, 2, 2),
+                             (1, 2, 2, 2), (2,)]
+    for u, series in roots.items():
+        assert series == geometric_factor(len(u), trunc, order), u
+
+
 def test_cartan_diagonal_builds_the_a2_preset():
     p = 10009
     for text, q in (("cartan-A2", primitive_root(p)),
@@ -1296,6 +1319,68 @@ def ordered_product(factors, trunc):
     return out
 
 
+def sweep_factors(R):
+    """{u: coefficients} for every Lyndon word, from one _sweep per degree
+    read to the end: how verify_factorization found every factor before it
+    walked the hard letters of diagonal braidings."""
+    N = R.trunc
+    D = len(R.space.component_partition())
+    table = nichols._lyndon_table(R, D, range(1, N + 1))
+    coeffs = {u: [1] + [0] * N for bucket in table for u in bucket}
+    for m in range(1, N + 1):
+        for u, c in nichols._sweep(R, m, table):
+            coeffs[u][m] = c
+    return {u: tuple(c) for u, c in coeffs.items()}
+
+
+# p -> the orders 2..6 of roots of unity in F_p (5 divides only 11 - 1)
+ROOT_ORDERS = {10009: (2, 3, 4, 6), 13: (2, 3, 4, 6), 11: (2, 5), 7: (2, 3, 6)}
+
+
+def walk_cases(p):
+    """Seeded diagonal quotients over F_p: d = 2 at trunc 9 and d = 3 at
+    trunc 6, with random units (None) or random powers of a root of unity of
+    each order, as Nichols and free quotients; quantum-plane(q=3) modulo
+    x1x2 - x2x1; over F_10009 also the generic A2 Serre presentation and
+    two presented quotients of sixth-root spaces."""
+    fld = PrimeField(p)
+    rng = random.Random(p)
+    for order in (None,) + ROOT_ORDERS[p]:
+        for d, trunc in ((2, 9), (3, 6)):
+            if order is None:
+                sp = random_diagonal(fld, d, rng)
+            else:
+                zeta = fld.element_of_order(order)
+                sp = BraidedSpace(fld, d, "diagonal", [
+                    [pow(zeta, rng.randrange(order), p) for _ in range(d)]
+                    for _ in range(d)])
+            for kind in ("nichols", "free"):
+                yield GradedQuotient(sp, kind, trunc)
+    sp = space_from_preset("quantum-plane(q=3)", prime=p)
+    commute = sp.element({(1, 2): 1, (2, 1): -1})
+    yield GradedQuotient(sp, "presented", 9, relations=(commute,))
+    if p == 10009:
+        sp = cartan_diagonal(fld, fld.from_int(11), ((2, -1), (-1, 2)), (1, 1))
+        serre = tuple(bracket(sp, u).value for u in ((1, 1, 2), (1, 2, 2)))
+        yield GradedQuotient(sp, "presented", 7, relations=serre)
+        for seed in (31, 37):
+            sp, rels, trunc = random_presented(seed)
+            yield GradedQuotient(sp, "presented", trunc, relations=rels)
+
+
+@pytest.mark.parametrize("p", sorted(ROOT_ORDERS))
+def test_factorization_walk_matches_the_sweep(p):
+    """Over a diagonal braiding verify_factorization walks the hard letters;
+    each of its factors equals the one the per-degree sweep over every
+    Lyndon word gives.  The sweep runs second, on the same quotient, so it
+    reads the walk's images and builds the others."""
+    for R in walk_cases(p):
+        rep = verify_factorization(R)
+        assert rep.ok, (R.kind, R.space.q)
+        assert {f.word: f.series.coeffs for f in rep.factors} == sweep_factors(
+            R), (R.kind, R.space.q)
+
+
 @pytest.mark.parametrize("make", [
     lambda: GradedQuotient(random_diagonal(PrimeField(10007), 2,
                                            random.Random(71)), "free", 9),
@@ -1563,18 +1648,18 @@ def test_sweep_builds_no_bracket_word_where_the_degree_is_zero(
         monkeypatch, preset, trunc, zero):
     """A degree with R_m = 0 builds nothing, and no braiding builds a TV
     bracket word.  Block braidings image one row per coordinate word in
-    every other degree, only until the images span R_m.  Diagonal ones
-    compute no image in a degree without relations either, and elsewhere
-    image the monotonic super-words over the live letters (the Lyndon words
-    whose bracket is nonzero in R) in the sweep's order only until their
-    images span R_m."""
+    every other degree, only until the images span R_m.  Diagonal ones walk
+    the hard letters: they compute no image in a degree without relations
+    either, and elsewhere image only super-words over the hard letters (the
+    words with a nontrivial factor) and candidates, single Lyndon words
+    whose Shirshov factors are hard."""
     from lynhopf import nichols
     R = GradedQuotient(space_from_preset(preset), "nichols", trunc)
     assert [m for m in range(trunc + 1) if R.dim(m) == 0] == zero
     free = [1] if preset == "s3-rack" else [1, 2]  # degrees with no relations
     d = R.space.dim
     assert [m for m in range(1, trunc + 1) if R.dim(m) == d ** m] == free
-    built, imaged = [], []
+    built, imaged, shapes = [], [], []
     block_bracket_word, image = nichols._block_bracket_word, nichols._image
 
     def counting_tv(space, sw, cw, flavor):
@@ -1583,6 +1668,7 @@ def test_sweep_builds_no_bracket_word_where_the_degree_is_zero(
 
     def counting_image(R, sw, cw, m):
         imaged.append(m)
+        shapes.append(sw)
         return image(R, sw, cw, m)
 
     monkeypatch.setattr(nichols, "_block_bracket_word", counting_tv)
@@ -1590,11 +1676,12 @@ def test_sweep_builds_no_bracket_word_where_the_degree_is_zero(
     rep = verify_factorization(R)
     assert rep.ok and built == []
     if R.space.is_diagonal:
-        live = [u for u in words.enumerate_lyndon(R.space.dim, trunc)
-                if R.project_terms(_bracket_value(R.space, u, u, "left"), len(u))]
-        assert Counter(imaged) == {
-            m: images_until_full_rank(R, live, m)
-            for m in range(1, trunc + 1) if R.dim(m) and m not in free}
+        hard = {f.word for f in rep.factors if f.series != PowerSeries.one(trunc)}
+        assert set(imaged) == {m for m in range(1, trunc + 1)
+                               if R.dim(m) and m not in free}
+        for sw in shapes:
+            assert set(sw) <= hard or (
+                len(sw) == 1 and set(words.shirshov(sw[0])) <= hard), sw
         assert all(R.dim(len(cw)) for cw in R._images if words.is_lyndon(cw))
     else:
         live = words.enumerate_lyndon(len(R.space.component_partition()), trunc)
