@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg, words
-from .scalars import (PrimeField, RationalField, field_from_json,
+from .scalars import (PairField, PrimeField, RationalField, field_from_json,
                       next_prime_with, primitive_root)
 
 DEFAULT_PRIME = 10007
@@ -98,13 +98,16 @@ def _checked_braiding(field, dim: int, kind: str, data):
     """_validated_braiding on the frozen rows of `data`, or a failing report
     if an entry is neither an int nor a raw scalar of the field.  The check
     comes first because the memo would take 2.0 or True for the rows of 2
-    or 1."""
+    or 1.  A guard ring (PairField) compares by identity, so its memo entry
+    would never be hit again: it is validated without the memo."""
     data = tuple(map(tuple, data))
     types = {int, type(field.zero)}
     if not types.issuperset(map(type, itertools.chain.from_iterable(data))):
         bad = next(x for row in data for x in row if type(x) not in types)
         message = f"entry {bad!r} is not a scalar of {field!r}"
         return BraidingReport(False, message), None, None, None
+    if isinstance(field, PairField):
+        return _validated_braiding.__wrapped__(field, dim, kind, data)
     return _validated_braiding(field, dim, kind, data)
 
 

@@ -6,10 +6,11 @@ skew-derivation recursion (Nichols) or one rref (presented).  `symmetrizer`
 builds the degree-n quantum symmetrizer, whose kernel is that degree's
 Nichols relations; no quotient calls it.  Plus the PBW generator and height
 extraction, the per-Lyndon-word subquotient series, and the factorization
-and nonnegativity checks.  Those scans work inside R for every braiding: a
-bracket word's image is the product in R of its letters' images.  A letter
-is pi[v].pi[w] at the Shirshov split over a diagonal braiding; a block
-braiding projects the letter's bracket built in TV.
+and nonnegativity checks.  The sweep and the hard-letter walk share one
+elimination pass per degree (_scan).  Those scans work inside R for every
+braiding: a bracket word's image is the product in R of its letters'
+images.  A letter is pi[v].pi[w] at the Shirshov split over a diagonal
+braiding; a block braiding projects the letter's bracket built in TV.
 """
 
 from __future__ import annotations
@@ -462,47 +463,87 @@ def pbw_series(data: PBWData, trunc: int | None = None) -> PowerSeries:
     return out
 
 
-def _lyndon_table(R: GradedQuotient, D: int, degrees: range) -> list:
-    """Lyndon words over D letters up to the last of `degrees`, bucketed by
-    length: entry n lists those of length n in lex order.  Enumerated once
-    every degree has passed the cap, in ascending order."""
+def _lyndon_words(R: GradedQuotient, D: int, degrees: range) -> list:
+    """Lyndon words over D letters up to the last of `degrees`, in lex order,
+    enumerated once every degree has passed the cap, in ascending order."""
     for m in degrees:
         _check_cap(R.space, m, R.cap)
-    top = degrees[-1] if degrees else 0
+    return words.enumerate_lyndon(D, degrees[-1]) if degrees else []
+
+
+def _by_length(order: list, top: int) -> list:
+    """Entry n lists the words of length n in `order`, in that order."""
     table: list = [[] for _ in range(top + 1)]
-    for u in words.enumerate_lyndon(D, top) if top else ():
+    for u in order:
         table[len(u)].append(u)
     return table
+
+
+def _lyndon_table(R: GradedQuotient, D: int, degrees: range) -> list:
+    """_lyndon_words bucketed by length (_by_length)."""
+    return _by_length(_lyndon_words(R, D, degrees), degrees[-1] if degrees else 0)
+
+
+def _scan(R: GradedQuotient, m: int, letters, steps, caps=None):
+    """One elimination pass over degree m: yields (u, rise), the rank rise
+    of u^(m/|u|), for each Lyndon word u in `steps` (descending, |u| | m).
+
+    Its rows are the monotonic bracket words of degree m over `letters`
+    that are not powers, each letter at most caps[letter] times, sorted by
+    last factor, descending; one per word by Chen-Fox-Lyndon uniqueness.  A
+    row is filled with each coordinate word of its blocks (over a diagonal
+    braiding its concatenation alone) and imaged in R (see _image).  The
+    ideal part of u, the rows with last factor >= u, only grows as u
+    decreases, so before each step u every such row goes in; the images of
+    u^(m/|u|) stay in the span for the smaller words.  A caller may stop at
+    its own u; one that reads every step has the remaining rows inserted
+    too, and then the bracket words of degree m (_sweep), or the restricted
+    ones (_hard_letters), must span R_m.  Images lie in R_m, so once the
+    span has rank dim R_m no image is built and every later rise is 0.
+    """
+    part = R.space.component_partition()
+    dim = R.dim(m)
+    diagonal = R.space.is_diagonal
+    rows = sorted((sw for sw in words.monotonic_superwords(letters, m, caps)
+                   if sw[0] != sw[-1]), key=lambda sw: sw[-1], reverse=True)
+    span = Eliminator(R.space.field)
+
+    def insert(sw) -> int:
+        rank, word = span.rank, words.concat(sw)
+        fills = (word,) if diagonal else itertools.product(*(part[b - 1] for b in word))
+        for cw in fills:
+            if span.rank == dim:
+                break
+            span.insert(_image(R, sw, cw, m))
+        return span.rank - rank
+
+    i = 0
+    for u in steps:
+        while span.rank < dim and i < len(rows) and rows[i][-1] >= u:
+            insert(rows[i])
+            i += 1
+        yield u, insert((u,) * (m // len(u)))
+    for sw in rows[i:]:
+        insert(sw)
+    if span.rank != dim:
+        raise RuntimeError(
+            f"degree {m}: the bracket words span rank {span.rank}, "
+            f"not dim R_{m} = {dim}")
 
 
 def _sweep(R: GradedQuotient, m: int, lyndon):
     """Degree-m coefficients of the subquotient series of the Lyndon words u
     in `lyndon` (a _lyndon_table through degree >= m, so the cap holds) with
-    |u| dividing m, in one sweep: yields (u, coefficient), largest u first.
-    It serves subquotient_series for every braiding and verify_factorization
-    on block braidings; diagonal factorizations walk the hard letters
-    instead (_hard_letters), with the same counts.
-
-    The rows are the monotonic bracket words of degree m, one per word by
-    Chen-Fox-Lyndon uniqueness, sorted by last factor, descending; over a
-    diagonal braiding only those over the live letters (Lyndon words with
-    pi[u] != 0), since any other has image 0.  A row is filled with each
-    coordinate word of its blocks and imaged in R (see _image).  The ideal
-    part of u, the rows sw != u^k with last(sw) >= u, only grows as u
-    decreases.  So the sweep walks u downwards, first inserting every row
-    with last factor >= u that is not a power (powers enter at their own
-    step), then counting how many images of u^k raise the rank; those stay
-    in the span for the smaller words.  A caller may stop reading at its own
-    u; one that reads every word has had every bracket word of degree m
-    inserted, and their images must span R_m.  Two kinds of degree build no
+    |u| dividing m: one _scan with these steps over every Lyndon word of
+    length <= m, yielding (u, coefficient), largest u first.  It serves
+    subquotient_series, and verify_factorization on block braidings.  Over
+    a diagonal braiding the letters are the live ones (pi[u] != 0), since a
+    bracket word over any other has image 0.  Two kinds of degree build no
     row: where R_m = 0 every count is 0, and where a diagonal degree has no
-    relations (dim R_m = d^m, so R_m = T_m) every count is 1, because each
-    bracket word is its concatenation plus lex-larger words (Kharchenko
-    1999) and the rows have distinct concatenations.  Once the span has rank
-    dim R_m no later image can raise it, so the sweep inserts no more rows,
-    nor the rest of a row's coordinate words, and every later count is 0.
+    relations (R_m = T_m) every count is 1, because each bracket word is its
+    concatenation plus lex-larger words (Kharchenko 1999) and the rows have
+    distinct concatenations.
     """
-    part = R.space.component_partition()
     dim = R.dim(m)
     diagonal = R.space.is_diagonal
     steps = sorted(itertools.chain.from_iterable(
@@ -512,31 +553,7 @@ def _sweep(R: GradedQuotient, m: int, lyndon):
         return
     live = {u for bucket in lyndon[1:m + 1] for u in bucket
             if not diagonal or R._superword_image((u,), u)}
-    rows = sorted(words.monotonic_superwords(live, m), key=lambda sw: sw[-1],
-                  reverse=True)
-    span = Eliminator(R.space.field)
-
-    def insert(sw) -> int:
-        slots = (part[b - 1] for b in words.concat(sw))
-        rank = span.rank
-        for cw in itertools.product(*slots):
-            if span.rank == dim:
-                break
-            span.insert(_image(R, sw, cw, m))
-        return span.rank - rank
-
-    i = 0
-    for u in steps:
-        while span.rank < dim and i < len(rows) and rows[i][-1] >= u:
-            sw = rows[i]
-            i += 1
-            if sw[0] != sw[-1]:
-                insert(sw)
-        yield u, insert((u,) * (m // len(u))) if u in live else 0
-    if span.rank != dim:
-        raise RuntimeError(
-            f"degree {m}: the bracket words span rank {span.rank}, "
-            f"not dim R_{m} = {dim}")
+    yield from _scan(R, m, live, steps)
 
 
 def subquotient_series(R: GradedQuotient, u, trunc: int | None = None) -> SubquotientSeries:
@@ -583,22 +600,16 @@ def _hard_letters(R: GradedQuotient, N: int, lyndon) -> dict:
     In a degree with R_m = T_m every Lyndon word of length m is hard with
     no height; in one with R_m = 0 each hard letter with no height and |u|
     dividing m takes the height m/|u|; both by _sweep's argument, imaging
-    nothing.  Any other degree runs _sweep's loop.  Its steps, descending,
-    are the hard letters with no height whose length divides m and the
-    candidates; its rows are the monotonic super-words over the hard
-    letters that are not powers, each letter capped below its height,
-    sorted by last factor, descending.  Before each step u every row with
-    last factor >= u goes in, then u^(m/|u|): if that raises the rank a
-    candidate becomes hard, if not a hard step takes the height m/|u|.  The
-    remaining rows go in last, since with the steps they are the restricted
-    words of degree m, whose images must span R_m; once they do, no image
-    is built, as in _sweep.
+    nothing.  Any other degree runs _scan over the hard letters, each capped
+    below its height, with the steps the hard letters with no height whose
+    length divides m and the candidates: a step that raises the rank makes
+    a candidate hard, one that does not gives a hard letter the height
+    m/|u|.
     """
-    field, d = R.space.field, R.space.dim
     hard: dict = {}
     for m in range(1, N + 1):
         dim = R.dim(m)
-        if dim == d ** m:
+        if dim == R.space.dim ** m:
             hard.update(dict.fromkeys(lyndon[m]))
             continue
         steps = [u for u, h in hard.items() if h is None and m % len(u) == 0]
@@ -607,31 +618,12 @@ def _hard_letters(R: GradedQuotient, N: int, lyndon) -> dict:
             continue
         steps += [v + w for v in hard for w in hard if v < w and len(v) + len(w) == m
                   and words.shirshov(v + w) == (v, w)]
-        steps.sort(reverse=True)
         caps = {u: h - 1 for u, h in hard.items() if h is not None}
-        rows = sorted((sw for sw in words.monotonic_superwords(hard, m, caps)
-                       if sw[0] != sw[-1]), key=lambda sw: sw[-1], reverse=True)
-        span = Eliminator(field)
-
-        def insert(sw) -> bool:
-            return span.rank < dim and span.insert(_image(R, sw, words.concat(sw), m))
-
-        i = 0
-        for u in steps:
-            while i < len(rows) and rows[i][-1] >= u:
-                insert(rows[i])
-                i += 1
-            k = m // len(u)
-            if insert((u,) * k):
+        for u, rise in _scan(R, m, list(hard), sorted(steps, reverse=True), caps):
+            if rise:
                 hard.setdefault(u, None)
             elif u in hard:
-                hard[u] = k
-        for sw in rows[i:]:
-            insert(sw)
-        if span.rank != dim:
-            raise RuntimeError(
-                f"degree {m}: the bracket words span rank {span.rank}, "
-                f"not dim R_{m} = {dim}")
+                hard[u] = m // len(u)
     return hard
 
 
@@ -641,28 +633,29 @@ def verify_factorization(R: GradedQuotient, trunc: int | None = None) -> Factori
     Over a diagonal braiding one walk up the degrees finds the hard letters
     and their heights (_hard_letters), which fix every factor.  Over a block
     braiding one sweep per degree yields every factor's coefficient of that
-    degree.  Both check that the bracket words span R_m, and both read one
-    Lyndon table, which also lists the factors.  Equal factors share one
-    series; the product takes each distinct one once, as a power, so its
-    cost follows the distinct factors, not the Lyndon words (in a free
-    algebra, one series per length).
+    degree.  Both run _scan, which checks that the bracket words span R_m.
+    One list of Lyndon words in lex order lists the factors; bucketed by
+    length, it is the table both read.  Equal factors share one series; the
+    product takes each distinct one once, as a power, so its cost follows
+    the distinct factors, not the Lyndon words (in a free algebra, one
+    series per length).
     """
     N = R._degree(trunc)
     lhs = R.hilbert_series(N)
     D = len(R.space.component_partition())
-    lyndon = _lyndon_table(R, D, range(1, N + 1))
+    order = _lyndon_words(R, D, range(1, N + 1))
+    lyndon = _by_length(order, N)
     if R.space.is_diagonal:
         hard = _hard_letters(R, N, lyndon)
         geometric = {(k, h): geometric_factor(k, N, h).coeffs
                      for k, h in {(len(u), h) for u, h in hard.items()}}
         coeffs = {u: geometric[len(u), h] for u, h in hard.items()}
     else:
-        coeffs = {u: [1] + [0] * N for bucket in lyndon for u in bucket}
+        coeffs = {u: [1] + [0] * N for u in order}
         for m in range(1, N + 1):
             for u, c in _sweep(R, m, lyndon):
                 coeffs[u][m] = c
     trivial = PowerSeries.one(N).coeffs
-    order = sorted(itertools.chain.from_iterable(lyndon))  # lex order
     keys = [tuple(coeffs.get(u, trivial)) for u in order]
     counts = Counter(keys)  # coefficient tuple -> number of factors with it
     shared = {c: PowerSeries(c) for c in counts}

@@ -269,6 +269,32 @@ def test_nonneg_quotient_check_stays_fused(source, word):
     assert got == two_run_guard(source, 8, compute) and got.ok
 
 
+def test_guarded_checks_leave_the_braiding_memo_alone(monkeypatch):
+    """The guard ring compares by identity, so the one-letter space of each
+    guarded nonneg_quotient_check would add a braiding memo entry that is
+    never hit again.  More such checks than the memo holds leave its size
+    unchanged, and a memoized preset still skips the braid-equation check."""
+    from lynhopf import freealg
+    checks = []
+    check = freealg._check_braid_equation
+    monkeypatch.setattr(freealg, "_check_braid_equation",
+                        lambda *args: checks.append(args) or check(*args))
+
+    def compute(sp):
+        return nichols.nonneg_quotient_check(GradedQuotient(sp, "nichols", 6), (1,))
+
+    freealg._validated_braiding.cache_clear()
+    build_space("s3-rack")
+    run_guarded("cartan-A2(order=3)", 6, compute)
+    memo = freealg._validated_braiding.cache_info()
+    for _ in range(memo.maxsize + 6):
+        assert run_guarded("cartan-A2(order=3)", 6, compute).ok
+    assert freealg._validated_braiding.cache_info().currsize == memo.currsize == 3
+    checks.clear()
+    build_space("s3-rack")
+    assert checks == []
+
+
 @pytest.mark.parametrize("source", [
     "quantum-plane", "quantum-plane(order=5)", "cartan-A2", "cartan-A2(order=3)",
     "cartan-A2(order=4)", "cartan-A2(order=6)"])

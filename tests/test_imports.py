@@ -54,6 +54,18 @@ def test_process_wide_memos_are_the_listed_ones():
                             "primitive_root", "next_prime_with"])
 
 
+def test_nichols_builds_the_listed_spans():
+    """One elimination loop per scan: _scan serves the subquotient sweep and
+    the hard-letter walk, and pbw_data keeps its own.  A second copy of the
+    row/step loop would build an Eliminator somewhere else."""
+    tree = ast.parse((SRC / "nichols.py").read_text(encoding="utf-8"))
+    builders = {top.name for top in tree.body
+                if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+                for node in ast.walk(top) if isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "Eliminator"}
+    assert builders == {"_scan", "pbw_data"}
+
+
 def test_quotients_keep_the_listed_state():
     """Every memo a scan needs lives on its quotient; these are all of them,
     for each kind of quotient."""

@@ -1438,6 +1438,17 @@ def test_sweep_checks_the_span_when_read_to_the_end(monkeypatch):
     with pytest.raises(RuntimeError, match=r"degree 2: the bracket words span "
                                            r"rank 0, not dim R_2 = 1"):
         verify_factorization(R)
+    # a block braiding: zero images forced on [1][1] of s3-rack, one block
+    # of three coordinates, leave R_2 unspanned by its nine coordinate words
+    def broken_block(R, sw, cw, m):
+        return {} if sw == ((1,), (1,)) else image(R, sw, cw, m)
+
+    monkeypatch.setattr(nichols, "_image", broken_block)
+    R = GradedQuotient(space_from_preset("s3-rack"), "nichols", 4)
+    assert subquotient_series(R, (1,)).series.coeffs == (1, 3, 0, 3, 1)
+    with pytest.raises(RuntimeError, match=r"degree 2: the bracket words span "
+                                           r"rank 0, not dim R_2 = 4"):
+        verify_factorization(R)
 
 
 @pytest.mark.parametrize("d,trunc", [(2, 7), (3, 5)])
