@@ -685,6 +685,8 @@ def space_from_json(obj: dict, prime=None) -> BraidedSpace:
     _check_field(field, orders)
     if not isinstance(braiding, dict):
         raise ValueError("braiding must be a JSON object")
+    if "diagonal" in braiding and "general" in braiding:
+        raise ValueError("braiding names both 'diagonal' and 'general'")
     for kind in ("diagonal", "general"):
         if kind in braiding:
             rows = braiding[kind]

@@ -421,16 +421,17 @@ def pbw_data(R: GradedQuotient, trunc: int | None = None) -> PBWData:
     exactly as before, or the largest non-power in its expression was.  Then
     a Lyndon word of degree n is accepted when its bracket's image (see
     _image) is independent of that span; candidates go in lex order.  A
-    degree with no relations accepts every Lyndon word of length n and builds
-    nothing, by the argument in _sweep.  Images lie in R_n, so once the span
-    has rank dim R_n no later word is inserted: each is dependent, so a
+    degree with no relations accepts every Lyndon word of length n and
+    builds nothing, by _scan's argument.  Images lie in R_n, so once the
+    span has rank dim R_n no later word is inserted: each is dependent, so a
     non-power raises, a power takes its height and no candidate is accepted.
     """
     if not R.space.is_diagonal:
         raise NotImplementedError(
             "PBW extraction is only implemented for diagonal braidings")
     N = R._degree(trunc)
-    lyndon = _lyndon_table(R, R.space.dim, range(1, N + 1))
+    order = _lyndon_words(R, R.space.dim, range(1, N + 1))
+    lyndon = _by_length(order, N)
     heights: dict = {}  # accepted generator -> height, None while it has none
     for n in range(1, N + 1):
         dim = R.dim(n)
@@ -450,8 +451,8 @@ def pbw_data(R: GradedQuotient, trunc: int | None = None) -> PBWData:
         for u in candidates:
             if span.rank < dim and span.insert(_image(R, (u,), u, n)):
                 heights[u] = None
-    gens = tuple(PBWGenerator(u, h) for u, h in sorted(heights.items()))
-    return PBWData(N, gens)
+    return PBWData(N, tuple(PBWGenerator(u, heights[u])
+                            for u in order if u in heights))
 
 
 def pbw_series(data: PBWData, trunc: int | None = None) -> PowerSeries:
@@ -479,11 +480,6 @@ def _by_length(order: list, top: int) -> list:
     return table
 
 
-def _lyndon_table(R: GradedQuotient, D: int, degrees: range) -> list:
-    """_lyndon_words bucketed by length (_by_length)."""
-    return _by_length(_lyndon_words(R, D, degrees), degrees[-1] if degrees else 0)
-
-
 def _scan(R: GradedQuotient, m: int, letters, steps, caps=None):
     """One elimination pass over degree m: yields (u, rise), the rank rise
     of u^(m/|u|), for each Lyndon word u in `steps` (descending, |u| | m).
@@ -500,10 +496,18 @@ def _scan(R: GradedQuotient, m: int, letters, steps, caps=None):
     too, and then the bracket words of degree m (_sweep), or the restricted
     ones (_hard_letters), must span R_m.  Images lie in R_m, so once the
     span has rank dim R_m no image is built and every later rise is 0.
+    Two kinds of degree need no span and read no `letters`: where R_m = 0
+    there is nothing to span and every rise is 0; where a diagonal degree
+    has no relations (R_m = T_m) every rise is 1, as each bracket word is
+    its concatenation plus lex-larger words (Kharchenko 1999) and rows have
+    distinct concatenations.
     """
-    part = R.space.component_partition()
     dim = R.dim(m)
     diagonal = R.space.is_diagonal
+    if not dim or diagonal and dim == R.space.dim ** m:
+        yield from ((u, min(dim, 1)) for u in steps)
+        return
+    part = R.space.component_partition()
     rows = sorted((sw for sw in words.monotonic_superwords(letters, m, caps)
                    if sw[0] != sw[-1]), key=lambda sw: sw[-1], reverse=True)
     span = Eliminator(R.space.field)
@@ -533,26 +537,18 @@ def _scan(R: GradedQuotient, m: int, letters, steps, caps=None):
 
 def _sweep(R: GradedQuotient, m: int, lyndon):
     """Degree-m coefficients of the subquotient series of the Lyndon words u
-    in `lyndon` (a _lyndon_table through degree >= m, so the cap holds) with
-    |u| dividing m: one _scan with these steps over every Lyndon word of
-    length <= m, yielding (u, coefficient), largest u first.  It serves
-    subquotient_series, and verify_factorization on block braidings.  Over
-    a diagonal braiding the letters are the live ones (pi[u] != 0), since a
-    bracket word over any other has image 0.  Two kinds of degree build no
-    row: where R_m = 0 every count is 0, and where a diagonal degree has no
-    relations (R_m = T_m) every count is 1, because each bracket word is its
-    concatenation plus lex-larger words (Kharchenko 1999) and the rows have
-    distinct concatenations.
+    in `lyndon` (_lyndon_words by length through degree >= m, so the cap
+    holds) with |u| dividing m: one _scan with these steps over every
+    Lyndon word of length <= m, yielding (u, coefficient), largest u first.
+    It serves subquotient_series, and verify_factorization on block
+    braidings.  Over a diagonal braiding the letters are the live ones
+    (pi[u] != 0), since a bracket word over any other has image 0; a degree
+    that _scan answers without a span images none of them.
     """
-    dim = R.dim(m)
-    diagonal = R.space.is_diagonal
     steps = sorted(itertools.chain.from_iterable(
         lyndon[k] for k in range(1, m + 1) if m % k == 0), reverse=True)
-    if not dim or diagonal and dim == R.space.dim ** m:
-        yield from ((u, min(dim, 1)) for u in steps)
-        return
-    live = {u for bucket in lyndon[1:m + 1] for u in bucket
-            if not diagonal or R._superword_image((u,), u)}
+    live = (u for bucket in lyndon[1:m + 1] for u in bucket
+            if not R.space.is_diagonal or R._superword_image((u,), u))
     yield from _scan(R, m, live, steps)
 
 
@@ -573,7 +569,7 @@ def subquotient_series(R: GradedQuotient, u, trunc: int | None = None) -> Subquo
     N = R._degree(trunc)
     coeffs = [1] + [0] * N
     degrees = range(len(u), N + 1, len(u))
-    lyndon = _lyndon_table(R, D, degrees)
+    lyndon = _by_length(_lyndon_words(R, D, degrees), N)
     for m in degrees:
         coeffs[m] = next(c for w, c in _sweep(R, m, lyndon) if w == u)
     return SubquotientSeries(u, PowerSeries(tuple(coeffs)))
@@ -582,9 +578,9 @@ def subquotient_series(R: GradedQuotient, u, trunc: int | None = None) -> Subquo
 def _hard_letters(R: GradedQuotient, N: int, lyndon) -> dict:
     """The hard letters of a diagonal R through degree N, {u: height or None},
     found in one walk up the degrees over the hard letters alone; `lyndon`
-    is a _lyndon_table through N.  The subquotient series of a hard letter u
-    is geometric_factor(|u|, N, height), that of any other Lyndon word is 1:
-    the counts of _sweep, for far fewer rows.
+    is _lyndon_words by length through N.  The subquotient series of a hard
+    letter u is geometric_factor(|u|, N, height), that of any other Lyndon
+    word is 1: the counts of _sweep, for far fewer rows.
 
     Two facts confine the walk to the hard letters.  Every hard letter of
     length >= 2 has hard Shirshov factors (Lalonde-Ram 1995 on the standard
@@ -597,25 +593,20 @@ def _hard_letters(R: GradedQuotient, N: int, lyndon) -> dict:
     generalizes), so rows that hold each letter fewer times than its height
     keep, at every step, the span that _sweep has there.
 
-    In a degree with R_m = T_m every Lyndon word of length m is hard with
-    no height; in one with R_m = 0 each hard letter with no height and |u|
-    dividing m takes the height m/|u|; both by _sweep's argument, imaging
-    nothing.  Any other degree runs _scan over the hard letters, each capped
-    below its height, with the steps the hard letters with no height whose
-    length divides m and the candidates: a step that raises the rank makes
-    a candidate hard, one that does not gives a hard letter the height
-    m/|u|.
+    Each degree runs _scan over the hard letters, each capped below its
+    height, with the steps the hard letters with no height whose length
+    divides m and the candidates: a step that raises the rank makes a
+    candidate hard, one that does not gives a hard letter the height m/|u|
+    (so where R_m = 0, _scan's first case, every such letter takes it).  A
+    degree with R_m = T_m makes every Lyndon word of length m hard with no
+    height, by _scan's argument for that case, without joining candidates.
     """
     hard: dict = {}
     for m in range(1, N + 1):
-        dim = R.dim(m)
-        if dim == R.space.dim ** m:
+        if R.dim(m) == R.space.dim ** m:
             hard.update(dict.fromkeys(lyndon[m]))
             continue
         steps = [u for u, h in hard.items() if h is None and m % len(u) == 0]
-        if not dim:
-            hard.update((u, m // len(u)) for u in steps)
-            continue
         steps += [v + w for v in hard for w in hard if v < w and len(v) + len(w) == m
                   and words.shirshov(v + w) == (v, w)]
         caps = {u: h - 1 for u, h in hard.items() if h is not None}

@@ -388,7 +388,12 @@ class RationalField:
 def field_from_json(obj: dict):
     if not isinstance(obj, dict):
         raise ValueError(f"field spec must be an object, got {obj!r}")
-    if obj.get("rationals"):
+    rationals = obj.get("rationals", False)
+    if type(rationals) is not bool:
+        raise ValueError(f"field 'rationals' must be true or false, got {rationals!r}")
+    if rationals:
+        if "prime" in obj:
+            raise ValueError("field spec names both the rationals and a prime")
         return RationalField()
     if "prime" in obj:
         return PrimeField(obj["prime"])

@@ -505,6 +505,40 @@ def test_space_json_string_is_not_a_preset(capsys, tmp_path):
                               "--trunc", "3"]) == want
 
 
+AMBIGUOUS_SPACES = {
+    "both-braidings": ({"field": {"prime": 10007},
+                        "braiding": {"diagonal": QP_DIAGONAL, "general": [["1"]]}},
+                       "braiding names both 'diagonal' and 'general'"),
+    "rationals-string": ({"field": {"rationals": "no"}},
+                         "field 'rationals' must be true or false, got 'no'"),
+    "rationals-and-prime": ({"field": {"rationals": True, "prime": 7}},
+                            "field spec names both the rationals and a prime"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(AMBIGUOUS_SPACES))
+def test_ambiguous_space_json_is_domain_error(capsys, tmp_path, case):
+    """A space description that could be read two ways is refused, where
+    the reader used to pick one reading silently."""
+    update, message = AMBIGUOUS_SPACES[case]
+    space = {"field": {"prime": 10007}, "dim": 2,
+             "braiding": {"diagonal": QP_DIAGONAL}}
+    space.update(update)
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(space))
+    assert run_error(capsys, ["nichols", "dims", "--space", str(path),
+                              "--trunc", "3"]) == {"error": message, "kind": "domain"}
+
+
+def test_prime_field_json_may_say_rationals_false(capsys, tmp_path):
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps({"field": {"prime": 10007, "rationals": False},
+                                "dim": 2, "braiding": {"diagonal": QP_DIAGONAL}}))
+    code, obj = run_json(capsys, ["nichols", "dims", "--space", str(path),
+                                  "--trunc", "3"])
+    assert code == 0 and obj == {"coeffs": [1, 2, 1, 0]}
+
+
 def test_resource_error(capsys, monkeypatch):
     monkeypatch.setenv("LH_MAX_MATRIX", "10")
     obj = run_error(capsys, ["nichols", "dims", "--space",

@@ -849,6 +849,15 @@ def test_space_json_round_trip(field):
                          "braiding": {"upper": [["1"]]}})
 
 
+def test_space_json_names_one_braiding_kind():
+    obj = {"field": {"prime": 10007}, "dim": 2,
+           "braiding": {"diagonal": [["-1", "1"], ["1", "-1"]], "general": [["1"]]}}
+    with pytest.raises(ValueError, match="both 'diagonal' and 'general'"):
+        space_from_json(obj)
+    del obj["braiding"]["general"]
+    assert space_from_json(obj).is_diagonal
+
+
 # to_json of s3-rack, and of cartan-A2 at q = -1 conjugated by g ox g,
 # g = [[1, 1], [0, 1]] (not monomial), over F_10007 and over Q: the dense
 # layout of a general braiding, fixed byte for byte

@@ -66,6 +66,19 @@ def test_nichols_builds_the_listed_spans():
     assert builders == {"_scan", "pbw_data"}
 
 
+def test_nichols_enumerates_lyndon_words_in_one_place():
+    """Every scan reads the one lex-ordered list of _lyndon_words.  A second
+    enumeration path would name words.enumerate_lyndon somewhere else: in
+    another function, or in a module-level import."""
+    tree = ast.parse((SRC / "nichols.py").read_text(encoding="utf-8"))
+    places = {getattr(top, "name", "<module>") for top in tree.body
+              for node in ast.walk(top)
+              if getattr(node, "attr", None) == "enumerate_lyndon"
+              or getattr(node, "id", None) == "enumerate_lyndon"
+              or isinstance(node, ast.alias) and node.name == "enumerate_lyndon"}
+    assert places == {"_lyndon_words"}
+
+
 def test_quotients_keep_the_listed_state():
     """Every memo a scan needs lives on its quotient; these are all of them,
     for each kind of quotient."""

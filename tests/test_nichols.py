@@ -1325,7 +1325,7 @@ def sweep_factors(R):
     walked the hard letters of diagonal braidings."""
     N = R.trunc
     D = len(R.space.component_partition())
-    table = nichols._lyndon_table(R, D, range(1, N + 1))
+    table = nichols._by_length(nichols._lyndon_words(R, D, range(1, N + 1)), N)
     coeffs = {u: [1] + [0] * N for bucket in table for u in bucket}
     for m in range(1, N + 1):
         for u, c in nichols._sweep(R, m, table):
@@ -1707,6 +1707,29 @@ def test_sweep_builds_no_bracket_word_where_the_degree_is_zero(
     monkeypatch.undo()
     for f in rep.factors:
         assert f.series.coeffs == oracle_subquotient(R, f.word, trunc), f.word
+
+
+def test_scan_answers_without_rows_where_the_degree_needs_no_span(monkeypatch):
+    """_scan answers a degree with R_m = 0 (every rise 0) and a diagonal
+    degree with R_m = T_m (every rise 1) before it lists a row or builds an
+    image."""
+    from lynhopf import nichols
+    zero = GradedQuotient(space_from_preset("cartan-A2(order=3)"), "nichols", 10)
+    free = GradedQuotient(random_diagonal(PrimeField(10007), 2, random.Random(5)),
+                          "free", 6)
+    cases = [(zero, 9, 0), (zero, 10, 0), (free, 6, 1)]
+    for R, m, rise in cases:
+        assert R.dim(m) == rise * 2 ** m
+    calls = []
+    superwords, image = words.monotonic_superwords, nichols._image
+    monkeypatch.setattr(words, "monotonic_superwords",
+                        lambda *a: calls.append(a) or superwords(*a))
+    monkeypatch.setattr(nichols, "_image", lambda *a: calls.append(a) or image(*a))
+    for R, m, rise in cases:
+        lyndon = words.enumerate_lyndon(2, m)
+        steps = sorted((u for u in lyndon if m % len(u) == 0), reverse=True)
+        assert list(nichols._scan(R, m, lyndon, steps)) == [(u, rise) for u in steps]
+    assert calls == []
 
 
 # -------------------------------------------------------------- nonnegativity

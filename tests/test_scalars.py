@@ -161,6 +161,17 @@ def test_field_json_round_trip():
         field_from_json("10007")
 
 
+def test_field_json_rejects_ambiguous_specs():
+    """'rationals' is a JSON boolean, and true excludes a prime."""
+    for obj in ({"rationals": "no"}, {"rationals": 1}, {"rationals": None},
+                {"rationals": True, "prime": 7}):
+        with pytest.raises(ValueError):
+            field_from_json(obj)
+    assert field_from_json({"prime": 7, "rationals": False}) == PrimeField(7)
+    with pytest.raises(ValueError, match="unrecognized"):
+        field_from_json({"rationals": False})
+
+
 def test_next_prime_with():
     assert next_prime_with(10008, (3,), ()) == 10009
     assert next_prime_with(2, (), ()) == 2
